@@ -104,10 +104,10 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 		off          int32 // inclusive prefix of Γ over parts (incl. own)
 	}
 	m := v.Size()
-	qs := make([]qitem, 0, m)
+	qs := mesh.Checkout[qitem](in.M, m)[:0]
+	defer mesh.Release(in.M, qs)
 	for i := 0; i < m; i++ {
-		q := mesh.At(v, in.Queries, i)
-		if q.Mark {
+		if q := mesh.Ref(v, in.Queries, i); q.Mark {
 			qs = append(qs, qitem{part: q.partFor(slot), origin: int32(i), cnt: 1})
 		}
 	}
@@ -156,8 +156,10 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 	// Step 4a: tell every vertex its part's Γ and slot base via a RAR
 	// against the part directory (the segment heads of qs).
 	type dirEntry struct{ gamma, base int32 }
-	var dirParts []int32
-	var dirVals []dirEntry
+	dirParts := mesh.Checkout[int32](in.M, m)[:0]
+	dirVals := mesh.Checkout[dirEntry](in.M, m)[:0]
+	defer mesh.Release(in.M, dirParts)
+	defer mesh.Release(in.M, dirVals)
 	for i := range qs {
 		if headQ(i) {
 			g := gammaOf(qs[i].total)
@@ -165,18 +167,22 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 			dirVals = append(dirVals, dirEntry{gamma: g, base: qs[i].off - g})
 		}
 	}
-	nodeGamma := make([]int32, m)
-	nodeBase := make([]int32, m)
+	nodeGamma := mesh.Checkout[int32](in.M, m)
+	nodeBase := mesh.Checkout[int32](in.M, m)
+	defer mesh.Release(in.M, nodeGamma)
+	defer mesh.Release(in.M, nodeBase)
+	clear(nodeGamma)
 	mesh.RAR(v,
-		func(i int) (int32, dirEntry, bool) {
-			if i < len(dirParts) {
-				return dirParts[i], dirVals[i], true
-			}
-			return 0, dirEntry{}, false
-		},
 		func(i int) (int32, bool) {
-			nd := mesh.At(v, in.Nodes, i)
-			p := slot.PartOf(&nd)
+			if i < len(dirParts) {
+				return dirParts[i], true
+			}
+			return 0, false
+		},
+		func(i int) dirEntry { return dirVals[i] },
+		func(i int) (int32, bool) {
+			nd := mesh.Ref(v, in.Nodes, i)
+			p := slot.PartOf(nd)
 			return p, nd.ID != graph.Nil && p != graph.NoPart
 		},
 		func(i int, e dirEntry, found bool) {
@@ -189,21 +195,24 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 	// Step 4b: expand. Copies of record j of G_i are laid out contiguously
 	// (positions ebase_i + j·Γ_i + c), so one forward copy-scan creates all
 	// of them; a final sort delivers copy c to position j of slot base+c.
+	// The banks carry the vertex's processor index (src), not the vertex:
+	// the record is read from Nodes once, where its copy lands.
 	type nitem struct {
 		part        int32
 		id          graph.VertexID
 		cnt, total  int32
 		gamma, base int32
+		src         int32
 		ebase       int64 // inclusive prefix of Γ_p·|G_p| (incl. own part)
-		v           graph.Vertex
 	}
-	ns := make([]nitem, 0, m)
+	ns := mesh.Checkout[nitem](in.M, m)[:0]
+	defer mesh.Release(in.M, ns)
 	for i := 0; i < m; i++ {
 		if nodeGamma[i] > 0 {
-			nd := mesh.At(v, in.Nodes, i)
+			nd := mesh.Ref(v, in.Nodes, i)
 			ns = append(ns, nitem{
-				part: slot.PartOf(&nd), id: nd.ID, cnt: 1,
-				gamma: nodeGamma[i], base: nodeBase[i], v: nd,
+				part: slot.PartOf(nd), id: nd.ID, cnt: 1,
+				gamma: nodeGamma[i], base: nodeBase[i], src: int32(i),
 			})
 		}
 	}
@@ -243,18 +252,19 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 		id          graph.VertexID
 		j, c        int32
 		gamma, base int32
-		v           graph.Vertex
+		src         int32
 	}
-	src := make([]copyItem, len(ns))
+	cps := mesh.Checkout[copyItem](in.M, len(ns))
+	defer mesh.Release(in.M, cps)
 	for i, it := range ns {
 		j := it.cnt - 1
 		if int(j) >= plan.cap {
 			panic(fmt.Sprintf("core: part %d has %d vertices > capacity %d (maxPart too small)",
 				it.part, it.total, plan.cap))
 		}
-		src[i] = copyItem{id: it.id, j: j, c: 0, gamma: it.gamma, base: it.base, v: it.v}
+		cps[i] = copyItem{id: it.id, j: j, c: 0, gamma: it.gamma, base: it.base, src: it.src}
 	}
-	expanded, occupied := mesh.RouteScratch(v, src, int(expTotal), 2, func(i int) int {
+	expanded, occupied := mesh.RouteScratch(v, cps, int(expTotal), 2, func(i int) int {
 		it := ns[i]
 		partBase := it.ebase - int64(it.gamma)*int64(it.total)
 		return int(partBase + int64(it.cnt-1)*int64(it.gamma))
@@ -266,15 +276,16 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 	// Deliver copy c of record j to cell j of slot base+c.
 	type placed struct {
 		layer, cell int32
-		v           graph.Vertex
+		src         int32
 	}
-	place := make([]placed, len(expanded))
+	place := mesh.Checkout[placed](in.M, len(expanded))
+	defer mesh.Release(in.M, place)
 	for i, cp := range expanded {
 		s := int(cp.base) + int(cp.c)
 		place[i] = placed{
 			layer: int32(s / plan.phys),
 			cell:  int32(plan.cell(vcols, s%plan.phys, int(cp.j))),
-			v:     cp.v,
+			src:   cp.src,
 		}
 	}
 	mesh.Release(in.M, expanded)
@@ -292,7 +303,7 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 	}
 	for _, p := range place {
 		copies, _ := in.layer(int(p.layer))
-		mesh.Set(v, copies, int(p.cell), p.v)
+		mesh.Set(v, copies, int(p.cell), mesh.At(v, in.Nodes, int(p.src)))
 	}
 	v.Charge(1)
 	endExpand()
@@ -301,16 +312,17 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 	endPlace := trace.Span(v, "place")
 	type qplaced struct {
 		layer, cell int32
-		q           Query
+		origin      int32
 	}
-	qp := make([]qplaced, len(qs))
+	qp := mesh.Checkout[qplaced](in.M, len(qs))
+	defer mesh.Release(in.M, qp)
 	for i, it := range qs {
 		base := it.off - gammaOf(it.total)
 		s := int(base) + int(it.cnt-1)/plan.cap
 		qp[i] = qplaced{
-			layer: int32(s / plan.phys),
-			cell:  int32(plan.cell(vcols, s%plan.phys, int(it.cnt-1)%plan.cap)),
-			q:     mesh.At(v, in.Queries, int(it.origin)),
+			layer:  int32(s / plan.phys),
+			cell:   int32(plan.cell(vcols, s%plan.phys, int(it.cnt-1)%plan.cap)),
+			origin: it.origin,
 		}
 	}
 	mesh.SortScratch(v, qp, 1, func(a, b qplaced) bool {
@@ -321,7 +333,7 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 	})
 	for _, p := range qp {
 		_, staged := in.layer(int(p.layer))
-		mesh.Set(v, staged, int(p.cell), p.q)
+		mesh.Set(v, staged, int(p.cell), mesh.At(v, in.Queries, int(p.origin)))
 	}
 	v.Charge(1)
 	endPlace()
@@ -330,7 +342,9 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 	// submeshes in parallel, layers in sequence within a submesh.
 	endAdvance := trace.Span(v, "advance")
 	subs := v.Partition(plan.grid, plan.grid)
-	advanced := make([]int64, len(subs))
+	advanced := mesh.Checkout[int64](in.M, len(subs))
+	defer mesh.Release(in.M, advanced)
+	clear(advanced)
 	layers := st.Layers
 	v.RunParallel(subs, func(si int, sub mesh.View) {
 		for l := 0; l < layers; l++ {
@@ -338,12 +352,13 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 			live := mesh.Count(sub, staged, func(q Query) bool { return q.ID != NoQuery && q.Mark })
 			for it := 0; it < steps && live > 0; it++ {
 				mesh.RAR(sub,
-					func(i int) (graph.VertexID, graph.Vertex, bool) {
-						nd := mesh.At(sub, copies, i)
-						return nd.ID, nd, nd.ID != graph.Nil
-					},
 					func(i int) (graph.VertexID, bool) {
-						q := mesh.At(sub, staged, i)
+						id := mesh.Ref(sub, copies, i).ID
+						return id, id != graph.Nil
+					},
+					func(i int) graph.Vertex { return mesh.At(sub, copies, i) },
+					func(i int) (graph.VertexID, bool) {
+						q := mesh.Ref(sub, staged, i)
 						return q.Cur, q.ID != NoQuery && q.Mark
 					},
 					func(i int, nd graph.Vertex, found bool) {

@@ -10,7 +10,9 @@ import (
 
 // Algorithm 1 (§3): multisearch on a hierarchical DAG in O(√n) mesh time.
 //
-// Register set (all fixed — the O(1) memory of Theorem 2):
+// Register set (all fixed — the O(1) memory of Theorem 2). The instance
+// allocates the scratch registers on its first run and every later run
+// reuses them:
 //
 //	Nodes    initial configuration of G (never moved; serves B*)
 //	Queries  one query per processor, processed in place
@@ -39,6 +41,23 @@ type hdagRegs struct {
 	phase1 *mesh.Reg[graph.Vertex]
 }
 
+// algorithm1Regs returns (allocating on first use) the instance's Algorithm 1
+// register set.
+func (in *Instance) algorithm1Regs() *hdagRegs {
+	if in.hdag == nil {
+		m := in.M
+		in.hdag = &hdagRegs{
+			labels: mesh.NewReg[int8](m),
+			stage:  mesh.NewReg[graph.Vertex](m),
+			store1: mesh.NewReg[graph.Vertex](m),
+			store2: mesh.NewReg[graph.Vertex](m),
+			work:   mesh.NewReg[graph.Vertex](m),
+			phase1: mesh.NewReg[graph.Vertex](m),
+		}
+	}
+	return in.hdag
+}
+
 // MultisearchHDag runs Algorithm 1 on the instance (whose graph must be the
 // hierarchical DAG the plan was computed for).
 func MultisearchHDag(v mesh.View, in *Instance, plan *HDagPlan) HDagStats {
@@ -47,14 +66,7 @@ func MultisearchHDag(v mesh.View, in *Instance, plan *HDagPlan) HDagStats {
 	st.Blocks = plan.S
 	st.StarLevels = plan.H - plan.StarLo + 1
 	m := in.M
-	regs := &hdagRegs{
-		labels: mesh.NewReg[int8](m),
-		stage:  mesh.NewReg[graph.Vertex](m),
-		store1: mesh.NewReg[graph.Vertex](m),
-		store2: mesh.NewReg[graph.Vertex](m),
-		work:   mesh.NewReg[graph.Vertex](m),
-		phase1: mesh.NewReg[graph.Vertex](m),
-	}
+	regs := in.algorithm1Regs()
 	for _, r := range []*mesh.Reg[graph.Vertex]{regs.stage, regs.store1, regs.store2, regs.work, regs.phase1} {
 		mesh.Fill(v, r, emptyVertex)
 	}
@@ -288,12 +300,13 @@ func solveLemma1(sub mesh.View, in *Instance, regs *hdagRegs, blk HDagBlock) int
 func advanceRange(v mesh.View, in *Instance, nodes *mesh.Reg[graph.Vertex], lo, hi int) int64 {
 	var advanced int64
 	mesh.RAR(v,
-		func(i int) (graph.VertexID, graph.Vertex, bool) {
-			nd := mesh.At(v, nodes, i)
-			return nd.ID, nd, nd.ID != graph.Nil
-		},
 		func(i int) (graph.VertexID, bool) {
-			q := mesh.At(v, in.Queries, i)
+			id := mesh.Ref(v, nodes, i).ID
+			return id, id != graph.Nil
+		},
+		func(i int) graph.Vertex { return mesh.At(v, nodes, i) },
+		func(i int) (graph.VertexID, bool) {
+			q := mesh.Ref(v, in.Queries, i)
 			return q.Cur, q.ID != NoQuery && !q.Done && int(q.CurLevel) >= lo && int(q.CurLevel) <= hi
 		},
 		func(i int, nd graph.Vertex, found bool) {

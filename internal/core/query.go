@@ -92,6 +92,10 @@ func (q *Query) partFor(slot graph.Slot) int32 {
 //	Queries  — one query per processor, kept at processor index == ID
 //	copies   — staged subgraph copies in δ-submeshes (per virtual layer)
 //	staged   — staged queries in δ-submeshes (per virtual layer)
+//	hdag     — Algorithm 1's scratch registers
+//
+// The scratch registers are allocated on first use and reused by every
+// later round on the instance.
 type Instance struct {
 	M       *mesh.Mesh
 	G       *graph.Graph
@@ -102,6 +106,7 @@ type Instance struct {
 
 	copies []*mesh.Reg[graph.Vertex]
 	staged []*mesh.Reg[Query]
+	hdag   *hdagRegs // Algorithm 1's registers (hdagsearch.go)
 }
 
 // maxLayers bounds the number of virtual δ-submesh layers; each layer is
@@ -156,8 +161,9 @@ func (in *Instance) ResetQueries(v mesh.View, queries []Query) {
 		panic(fmt.Sprintf("core: %d queries exceed mesh size %d", len(queries), in.M.N()))
 	}
 	mesh.Fill(v, in.Queries, emptyQuery)
-	qs := make([]Query, len(queries))
-	for i, q := range queries {
+	for i := range queries {
+		q := mesh.Ref(v, in.Queries, i)
+		*q = queries[i]
 		q.ID = int32(i)
 		q.Done = false
 		q.Mark = false
@@ -165,9 +171,7 @@ func (in *Instance) ResetQueries(v mesh.View, queries []Query) {
 		q.CurPart = graph.NoPart
 		q.CurPart2 = graph.NoPart
 		q.CurLevel = -1
-		qs[i] = q
 	}
-	mesh.Load(v, in.Queries, qs)
 	in.NumQ = len(queries)
 }
 
@@ -189,23 +193,23 @@ func (in *Instance) layer(i int) (*mesh.Reg[graph.Vertex], *mesh.Reg[Query]) {
 // O(Sort(n)) time. Must run once before the first multistep.
 func (in *Instance) Prime(v mesh.View) {
 	mesh.RAR(v,
-		func(i int) (graph.VertexID, graph.Vertex, bool) {
-			nd := mesh.At(v, in.Nodes, i)
-			return nd.ID, nd, nd.ID != graph.Nil
-		},
 		func(i int) (graph.VertexID, bool) {
-			q := mesh.At(v, in.Queries, i)
+			id := mesh.Ref(v, in.Nodes, i).ID
+			return id, id != graph.Nil
+		},
+		func(i int) graph.Vertex { return mesh.At(v, in.Nodes, i) },
+		func(i int) (graph.VertexID, bool) {
+			q := mesh.Ref(v, in.Queries, i)
 			return q.Cur, q.ID != NoQuery && !q.Done
 		},
 		func(i int, nd graph.Vertex, found bool) {
 			if !found {
 				panic(fmt.Sprintf("core: query at %d starts at unknown vertex", i))
 			}
-			q := mesh.At(v, in.Queries, i)
+			q := mesh.Ref(v, in.Queries, i)
 			q.CurPart = nd.Part
 			q.CurPart2 = nd.Part2
 			q.CurLevel = nd.Level
-			mesh.Set(v, in.Queries, i, q)
 		})
 }
 
@@ -215,12 +219,13 @@ func (in *Instance) Prime(v mesh.View) {
 func (in *Instance) GlobalStep(v mesh.View) int {
 	advanced := 0
 	mesh.RAR(v,
-		func(i int) (graph.VertexID, graph.Vertex, bool) {
-			nd := mesh.At(v, in.Nodes, i)
-			return nd.ID, nd, nd.ID != graph.Nil
-		},
 		func(i int) (graph.VertexID, bool) {
-			q := mesh.At(v, in.Queries, i)
+			id := mesh.Ref(v, in.Nodes, i).ID
+			return id, id != graph.Nil
+		},
+		func(i int) graph.Vertex { return mesh.At(v, in.Nodes, i) },
+		func(i int) (graph.VertexID, bool) {
+			q := mesh.Ref(v, in.Queries, i)
 			return q.Cur, q.ID != NoQuery && !q.Done
 		},
 		func(i int, nd graph.Vertex, found bool) {
@@ -240,14 +245,16 @@ func (in *Instance) Unfinished(v mesh.View) int {
 	})
 }
 
-// ResultQueries snapshots the final query records in ID order (harness and
-// test helper; no charge).
+// ResultQueries returns a fresh copy of the final query records in ID order
+// (harness and test helper; no charge). Each live record is copied once,
+// straight from its cell; if two cells claim one ID, the later cell in
+// row-major order wins.
 func (in *Instance) ResultQueries() []Query {
-	all := mesh.Snapshot(in.M.Root(), in.Queries)
+	root := in.M.Root()
 	out := make([]Query, in.NumQ)
-	for _, q := range all {
-		if q.ID != NoQuery {
-			out[q.ID] = q
+	for i, n := 0, root.Size(); i < n; i++ {
+		if q := mesh.Ref(root, in.Queries, i); q.ID != NoQuery {
+			out[q.ID] = *q
 		}
 	}
 	return out

@@ -16,7 +16,8 @@ func workload(m *mesh.Mesh) {
 	mesh.Scan(v, r, func(a, b int) int { return a + b })
 	n := v.Size()
 	mesh.RAR(v,
-		func(i int) (int32, int, bool) { return int32(i), i * 3, true },
+		func(i int) (int32, bool) { return int32(i), true },
+		func(i int) int { return i * 3 },
 		func(i int) (int32, bool) { return int32((i + 5) % n), true },
 		func(i int, val int, found bool) {})
 }
@@ -144,7 +145,8 @@ func TestChaosDropEqualsDupSrcEdge(t *testing.T) {
 		v := m.Root()
 		n := v.Size()
 		mesh.RAR(v,
-			func(i int) (int32, int, bool) { return int32(i), i * 3, true },
+			func(i int) (int32, bool) { return int32(i), true },
+			func(i int) int { return i * 3 },
 			func(i int) (int32, bool) { return int32((i + 5) % n), true },
 			func(i int, val int, found bool) {})
 	}

@@ -187,11 +187,17 @@ func (ct *CountTree) NewQueries(ranges [][2]int64) []core.Query {
 // Counts combines the finished rank queries into intersection counts.
 func (ct *CountTree) Counts(results []core.Query, m int) []int64 {
 	out := make([]int64, m)
-	for i := 0; i < m; i++ {
-		hiBelowA := results[2*i].State[ctStateCount]
-		loAtMostB := results[2*i+1].State[ctStateCount]
-		// n − #{Hi < a} − #{Lo > b} = n − #{Hi < a} − (n − #{Lo ≤ b}).
-		out[i] = loAtMostB - hiBelowA
+	for i := range out {
+		out[i] = ct.Count(results, i)
 	}
 	return out
+}
+
+// Count combines the two finished rank queries of intersection query i
+// (results 2i and 2i+1) into its intersection count.
+func (ct *CountTree) Count(results []core.Query, i int) int64 {
+	hiBelowA := results[2*i].State[ctStateCount]
+	loAtMostB := results[2*i+1].State[ctStateCount]
+	// n − #{Hi < a} − #{Lo > b} = n − #{Hi < a} − (n − #{Lo ≤ b}).
+	return loAtMostB - hiBelowA
 }

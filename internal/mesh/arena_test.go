@@ -3,6 +3,8 @@ package mesh
 import (
 	"sort"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // The arena must hand back the same backing store it was given: that is the
@@ -27,23 +29,39 @@ func TestCheckoutReuse(t *testing.T) {
 
 // Steady-state RAR must not allocate: the seed allocated its 2m-item bank
 // and several sort.SliceStable artifacts on every call (7 allocs/op at
-// side 64), which made the GC dominate multistep-heavy runs. The acceptance
-// bar for this PR is ≥ 5× fewer, i.e. ≤ 1.
+// side 64), which made the GC dominate multistep-heavy runs. The bar is
+// ≥ 5× fewer, i.e. ≤ 1. It holds for a graph.Vertex-sized value too: the
+// bank carries keys and indices, never the values.
 func TestRARAllocsSteadyState(t *testing.T) {
 	m := New(64)
 	v := m.Root()
-	// Warm the arena once.
-	doRAR := func() {
-		RAR(v,
-			func(i int) (int64, int64, bool) { return int64(i), int64(i) * 3, true },
-			func(i int) (int64, bool) { return int64((i * 7) % v.Size()), true },
-			func(i int, val int64, found bool) {},
-		)
+	verts := make([]graph.Vertex, m.N())
+	cases := []struct {
+		name  string
+		doRAR func()
+	}{
+		{"int64", func() {
+			RAR(v,
+				func(i int) (int64, bool) { return int64(i), true },
+				func(i int) int64 { return int64(i) * 3 },
+				func(i int) (int64, bool) { return int64((i * 7) % v.Size()), true },
+				func(i int, val int64, found bool) {},
+			)
+		}},
+		{"graph.Vertex", func() {
+			RAR(v,
+				func(i int) (int64, bool) { return int64(i), true },
+				func(i int) graph.Vertex { return verts[i] },
+				func(i int) (int64, bool) { return int64((i * 7) % v.Size()), true },
+				func(i int, val graph.Vertex, found bool) {},
+			)
+		}},
 	}
-	doRAR()
-	allocs := testing.AllocsPerRun(20, doRAR)
-	if allocs > 1 {
-		t.Errorf("steady-state RAR allocates %.0f per op, want ≤ 1 (seed: 7)", allocs)
+	for _, tc := range cases {
+		tc.doRAR() // warm the arena once
+		if allocs := testing.AllocsPerRun(20, tc.doRAR); allocs > 1 {
+			t.Errorf("%s: steady-state RAR allocates %.0f per op, want ≤ 1 (seed: 7)", tc.name, allocs)
+		}
 	}
 }
 
@@ -82,7 +100,8 @@ func TestRunParallelPooledStress(t *testing.T) {
 			Sort(sub, r, func(a, b int64) bool { return a < b })
 			// RAR: every processor reads the record keyed by its mirror.
 			RAR(sub,
-				func(i int) (int64, int64, bool) { return int64(i), At(sub, r, i), true },
+				func(i int) (int64, bool) { return int64(i), true },
+				func(i int) int64 { return At(sub, r, i) },
 				func(i int) (int64, bool) { return int64(sub.Size() - 1 - i), true },
 				func(i int, val int64, found bool) {
 					if !found {
@@ -113,7 +132,8 @@ func BenchmarkRARSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		RAR(v,
-			func(i int) (int64, int64, bool) { return int64(i), int64(i) * 3, true },
+			func(i int) (int64, bool) { return int64(i), true },
+			func(i int) int64 { return int64(i) * 3 },
 			func(i int) (int64, bool) { return int64((i * 7) % v.Size()), true },
 			func(i int, val int64, found bool) {},
 		)

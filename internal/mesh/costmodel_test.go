@@ -25,7 +25,8 @@ func TestTheoreticalNeverExceedsCounted(t *testing.T) {
 			}},
 			{"rar", func(m *Mesh) int64 {
 				RAR(m.Root(),
-					func(i int) (int32, int, bool) { return int32(i), i, true },
+					func(i int) (int32, bool) { return int32(i), true },
+					func(i int) int { return i },
 					func(i int) (int32, bool) { return int32(i), true },
 					func(i, v int, ok bool) {})
 				return m.Steps()

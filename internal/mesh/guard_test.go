@@ -63,7 +63,8 @@ func rarWorkload(m *Mesh) {
 	v := m.Root()
 	n := v.Size()
 	RAR(v,
-		func(i int) (int32, int, bool) { return int32(i), i * 3, true },
+		func(i int) (int32, bool) { return int32(i), true },
+		func(i int) int { return i * 3 },
 		func(i int) (int32, bool) { return int32((i + 1) % n), true },
 		func(i int, val int, found bool) {})
 }

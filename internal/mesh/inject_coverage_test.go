@@ -143,7 +143,8 @@ var opClassDrivers = map[OpClass]struct {
 		v := m.Root()
 		n := v.Size()
 		RAR(v,
-			func(i int) (int32, int, bool) { return int32(i), i * 5, true },
+			func(i int) (int32, bool) { return int32(i), true },
+			func(i int) int { return i * 5 },
 			func(i int) (int32, bool) { return int32((i + 3) % n), true },
 			func(i, val int, found bool) {})
 	}},
@@ -268,7 +269,8 @@ func TestRARDropEqualsDupSrcEdgeIsCaught(t *testing.T) {
 	n := v.Size()
 	ae := catchAudit(func() {
 		RAR(v,
-			func(i int) (int32, int, bool) { return int32(i), i * 9, true },
+			func(i int) (int32, bool) { return int32(i), true },
+			func(i int) int { return i * 9 },
 			func(i int) (int32, bool) { return int32((i + 7) % n), true },
 			func(i, val int, found bool) {})
 	})

@@ -22,7 +22,8 @@ func TestProfileSumsToSteps(t *testing.T) {
 	RotateRows(v, r, 3)
 	Concentrate(v, r, -1, func(x int64) bool { return x%2 == 0 })
 	RAR(v,
-		func(i int) (int64, int64, bool) { return int64(i), int64(i), true },
+		func(i int) (int64, bool) { return int64(i), true },
+		func(i int) int64 { return int64(i) },
 		func(i int) (int64, bool) { return int64(i), true },
 		func(i int, val int64, found bool) {})
 	RAW(v,
@@ -60,7 +61,8 @@ func TestCompoundOpAttribution(t *testing.T) {
 	m := New(8)
 	v := m.Root()
 	RAR(v,
-		func(i int) (int64, int64, bool) { return int64(i), int64(i), true },
+		func(i int) (int64, bool) { return int64(i), true },
+		func(i int) int64 { return int64(i) },
 		func(i int) (int64, bool) { return int64(i), true },
 		func(i int, val int64, found bool) {})
 	p := m.Profile()

@@ -12,7 +12,8 @@ import (
 // the primitive cost formulas. Item banks (the 2m-record sort banks of
 // RAR/RAW, routing move lists) are checked out of the mesh's scratch arena
 // and released on return, so the steady-state multistep loop allocates
-// nothing.
+// nothing. RAR's bank and the routing move lists are thin: they carry keys
+// and processor indices, and each record is read once, where it lands.
 //
 // Scratch-slice variants (SortScratch, ScanScratch) model a bank of perProc
 // registers per processor — perProc must remain O(1), which is how the
@@ -43,29 +44,28 @@ func ScanScratchRev[T any](v View, xs []T, perProc int, head func(i int) bool, o
 	scanSliceRev(v, "ScanScratchRev", xs, perProc, head, op)
 }
 
-// move pairs a routed value with its destination; routings sort their move
-// list by destination, which is also what detects collisions (adjacent
-// duplicates after the sort).
-type move[T any] struct {
-	dest int32
-	val  T
+// move pairs a destination with the index of the record routed there;
+// routings sort their move list by destination, which is also what detects
+// collisions (adjacent duplicates after the sort). The list carries the
+// record's index, not the record: the record is read once, where it lands.
+type move struct {
+	dest, src int32
 }
 
 // collectMoves builds the pooled move list for Route/RouteTo and validates
 // destinations. The caller releases it.
-func collectMoves[T any](v View, read func(local int) T, sel func(local int, val T) (dest int, ok bool), opName string) []move[T] {
+func collectMoves[T any](v View, read func(local int) T, sel func(local int, val T) (dest int, ok bool), opName string) []move {
 	m := v.Size()
-	moves := Checkout[move[T]](v.m, m)[:0]
+	moves := Checkout[move](v.m, m)[:0]
 	for i := 0; i < m; i++ {
-		val := read(i)
-		if d, ok := sel(i, val); ok {
+		if d, ok := sel(i, read(i)); ok {
 			if d < 0 || d >= m {
 				panic("mesh: " + opName + " destination out of view")
 			}
-			moves = append(moves, move[T]{int32(d), val})
+			moves = append(moves, move{int32(d), int32(i)})
 		}
 	}
-	sortSlice(v, opName, moves, 1, func(a, b move[T]) bool { return a.dest < b.dest })
+	sortSlice(v, opName, moves, 1, func(a, b move) bool { return a.dest < b.dest })
 	for i := 1; i < len(moves); i++ {
 		if moves[i].dest == moves[i-1].dest {
 			panic("mesh: " + opName + " destination collision")
@@ -75,13 +75,17 @@ func collectMoves[T any](v View, read func(local int) T, sel func(local int, val
 }
 
 // RouteTo moves selected records of src into computed destination cells of
-// dst (a different register). Destinations must be distinct; cells of dst
-// that receive no record are untouched. Cost: one sort.
+// dst (a different register: each record is read from src where it lands,
+// so writing dst must not change src). Destinations must be distinct; cells
+// of dst that receive no record are untouched. Cost: one sort.
 func RouteTo[T any](v View, src, dst *Reg[T], sel func(local int, val T) (dest int, ok bool)) {
 	v = v.begin(OpRoute)
+	if src == dst {
+		panic("mesh: RouteTo source and destination are one register")
+	}
 	moves := collectMoves(v, func(i int) T { return src.data[v.Global(i)] }, sel, "RouteTo")
 	for _, mv := range moves {
-		dst.data[v.Global(int(mv.dest))] = mv.val
+		dst.data[v.Global(int(mv.dest))] = src.data[v.Global(int(mv.src))]
 	}
 	Release(v.m, moves)
 	v.charge(OpRoute, 1)
@@ -106,15 +110,15 @@ func RouteScratch[T any](v View, src []T, dstLen, perProc int, dest func(i int) 
 	if dstLen > perProc*v.Size() {
 		panic("mesh: RouteScratch overflow")
 	}
-	moves := Checkout[move[T]](v.m, len(src))[:0]
+	moves := Checkout[move](v.m, len(src))[:0]
 	for i := range src {
 		d := dest(i)
 		if d < 0 || d >= dstLen {
 			panic("mesh: RouteScratch destination out of range")
 		}
-		moves = append(moves, move[T]{int32(d), src[i]})
+		moves = append(moves, move{int32(d), int32(i)})
 	}
-	runSort(v, "RouteScratch", moves, func(a, b move[T]) bool { return a.dest < b.dest })
+	runSort(v, "RouteScratch", moves, func(a, b move) bool { return a.dest < b.dest })
 	dst = Checkout[T](v.m, dstLen)
 	occupied = Checkout[bool](v.m, dstLen)
 	clear(dst)
@@ -123,7 +127,7 @@ func RouteScratch[T any](v View, src []T, dstLen, perProc int, dest func(i int) 
 		if i > 0 && mv.dest == moves[i-1].dest {
 			panic("mesh: RouteScratch destination collision")
 		}
-		dst[mv.dest] = mv.val
+		dst[mv.dest] = src[mv.src]
 		occupied[mv.dest] = true
 	}
 	Release(v.m, moves)
@@ -180,38 +184,51 @@ func auditAllDelivered[V any](v View, op string, expect map[int32]*rarExpect[V])
 // the segmented copy-scan, not by magic). Record keys are expected to be
 // unique within the view (the algorithms guarantee this; if violated, the
 // last record in sorted order wins). Requests whose key has no record
-// receive found=false.
+// receive found=false and the zero V.
 //
 // Mesh realization charged here: sort the 2m-item bank by (key, records
 // first); copy-scan record values across the requests that follow them;
 // sort the requests back by origin. Cost: 1 double-sort + 1 double-scan +
 // 1 single sort.
 //
+// The bank is thin: a record enters it as its key plus its processor index,
+// and the copy-scan copies that index, not the value. value(local) reads a
+// record's value where it lands — once per delivered request, plus once per
+// request for the audit oracle — so the sorted items stay 16 bytes for the
+// algorithms' int32 keys however wide V is. Charges, comparator and
+// scan-head decisions, fault consultations and audit verdicts read only
+// keys, flags and indices, so they are those of a bank that carries the
+// values. Contract: record values must not change during the RAR — deliver
+// must not write the cells value reads.
+//
 // In audit mode every delivery is cross-checked against a host-side oracle
 // built from the pristine item bank, and each pending request must be
 // delivered exactly once — which is what detects injected dropped or
 // duplicated replies and corrupted bank records.
 func RAR[K cmp.Ordered, V any](v View,
-	record func(local int) (key K, val V, ok bool),
+	key func(local int) (K, bool),
+	value func(local int) V,
 	request func(local int) (key K, ok bool),
 	deliver func(local int, val V, found bool),
 ) {
+	// src is the local index of the record whose value the item carries:
+	// the record itself, or (after the copy-scan) the record a request
+	// read; -1 while a request has read nothing.
 	type item struct {
-		key    K
-		isReq  bool
-		found  bool
-		val    V
-		origin int32
+		key         K
+		isReq       bool
+		found       bool
+		origin, src int32
 	}
 	v = v.begin(OpRAR)
 	m := v.Size()
 	items := Checkout[item](v.m, 2*m)[:0]
 	for i := 0; i < m; i++ {
-		if k, val, ok := record(i); ok {
-			items = append(items, item{key: k, val: val, found: true, origin: int32(i)})
+		if k, ok := key(i); ok {
+			items = append(items, item{key: k, found: true, origin: int32(i), src: int32(i)})
 		}
 		if k, ok := request(i); ok {
-			items = append(items, item{key: k, isReq: true, origin: int32(i)})
+			items = append(items, item{key: k, isReq: true, origin: int32(i), src: -1})
 		}
 	}
 	// Audit oracle, built from the pristine bank before any sort can be
@@ -219,17 +236,20 @@ func RAR[K cmp.Ordered, V any](v View,
 	// collected with its key (matching the stable sort + copy-scan).
 	var expect map[int32]*rarExpect[V]
 	if v.m.audit {
-		recs := make(map[K]rarExpect[V], len(items))
+		recs := make(map[K]int32, len(items))
 		for _, it := range items {
 			if !it.isReq {
-				recs[it.key] = rarExpect[V]{val: it.val, found: true}
+				recs[it.key] = it.src
 			}
 		}
 		expect = make(map[int32]*rarExpect[V], len(items))
 		for _, it := range items {
 			if it.isReq {
-				e := recs[it.key]
-				expect[it.origin] = &rarExpect[V]{val: e.val, found: e.found}
+				e := &rarExpect[V]{}
+				if src, ok := recs[it.key]; ok {
+					e.val, e.found = value(int(src)), true
+				}
+				expect[it.origin] = e
 			}
 		}
 	}
@@ -243,7 +263,7 @@ func RAR[K cmp.Ordered, V any](v View,
 		func(i int) bool { return i == 0 || items[i].key != items[i-1].key },
 		func(a, b item) item {
 			if b.isReq {
-				b.val = a.val
+				b.src = a.src
 				b.found = a.found
 			}
 			return b
@@ -269,21 +289,23 @@ func RAR[K cmp.Ordered, V any](v View,
 			dupSrc, dupDst = s, d
 		}
 	}
-	for i, it := range reqs {
-		if i == drop {
-			continue
+	send := func(origin int32, it item) {
+		var val V
+		if it.found {
+			val = value(int(it.src))
 		}
 		if expect != nil {
-			auditDelivery(v, "RAR", expect, it.origin, it.val, it.found)
+			auditDelivery(v, "RAR", expect, origin, val, it.found)
 		}
-		deliver(int(it.origin), it.val, it.found)
+		deliver(int(origin), val, it.found)
+	}
+	for i, it := range reqs {
+		if i != drop {
+			send(it.origin, it)
+		}
 	}
 	if dupSrc >= 0 {
-		it, dst := reqs[dupSrc], reqs[dupDst]
-		if expect != nil {
-			auditDelivery(v, "RAR", expect, dst.origin, it.val, it.found)
-		}
-		deliver(int(dst.origin), it.val, it.found)
+		send(reqs[dupDst].origin, reqs[dupSrc])
 	}
 	if expect != nil {
 		auditAllDelivered(v, "RAR", expect)
@@ -454,12 +476,19 @@ func Route[T any](v View, r *Reg[T], clear T, sel func(local int, val T) (dest i
 			}
 			return d, ok
 		}, "Route")
+	// Source and destination are one register: read every moved record
+	// before any cell is overwritten.
+	vals := Checkout[T](v.m, len(moves))
+	for k, mv := range moves {
+		vals[k] = r.data[v.Global(int(mv.src))]
+	}
 	for _, i := range cleared {
 		r.data[v.Global(int(i))] = clear
 	}
-	for _, mv := range moves {
-		r.data[v.Global(int(mv.dest))] = mv.val
+	for k, mv := range moves {
+		r.data[v.Global(int(mv.dest))] = vals[k]
 	}
+	Release(v.m, vals)
 	Release(v.m, cleared)
 	Release(v.m, moves)
 	v.charge(OpRoute, 1)

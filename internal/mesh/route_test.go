@@ -13,7 +13,8 @@ func TestRARBasicGather(t *testing.T) {
 	// requests key ((i+3) mod 16)*10.
 	got := make([]int, v.Size())
 	RAR(v,
-		func(i int) (int32, int, bool) { return int32(i * 10), i * 100, true },
+		func(i int) (int32, bool) { return int32(i * 10), true },
+		func(i int) int { return i * 100 },
 		func(i int) (int32, bool) { return int32(((i + 3) % 16) * 10), true },
 		func(i int, val int, found bool) {
 			if !found {
@@ -35,12 +36,8 @@ func TestRARConcurrentReads(t *testing.T) {
 	// copy-scan resolves.
 	hits := 0
 	RAR(v,
-		func(i int) (int32, int, bool) {
-			if i == 42 {
-				return 7, 4242, true
-			}
-			return 0, 0, false
-		},
+		func(i int) (int32, bool) { return 7, i == 42 },
+		func(i int) int { return 4242 },
 		func(i int) (int32, bool) { return 7, true },
 		func(i int, val int, found bool) {
 			if found && val == 4242 {
@@ -57,7 +54,8 @@ func TestRARMissingKey(t *testing.T) {
 	v := m.Root()
 	misses := 0
 	RAR(v,
-		func(i int) (int32, int, bool) { return int32(i), i, i < 2 },
+		func(i int) (int32, bool) { return int32(i), i < 2 },
+		func(i int) int { return i },
 		func(i int) (int32, bool) { return int32(i), true },
 		func(i int, val int, found bool) {
 			if !found {
@@ -75,7 +73,8 @@ func TestRARNoRequests(t *testing.T) {
 	m := New(2)
 	v := m.Root()
 	RAR(v,
-		func(i int) (int32, int, bool) { return int32(i), i, true },
+		func(i int) (int32, bool) { return int32(i), true },
+		func(i int) int { return i },
 		func(i int) (int32, bool) { return 0, false },
 		func(i int, val int, found bool) { t.Fatal("no deliveries expected") })
 }
@@ -98,12 +97,8 @@ func TestQuickRARMatchesReferenceGather(t *testing.T) {
 		}
 		ok := true
 		RAR(v,
-			func(i int) (int32, int, bool) {
-				if recMask&(1<<i) != 0 {
-					return int32(recKeys[i] % 8), i * 1000, true
-				}
-				return 0, 0, false
-			},
+			func(i int) (int32, bool) { return int32(recKeys[i] % 8), recMask&(1<<i) != 0 },
+			func(i int) int { return i * 1000 },
 			func(i int) (int32, bool) { return int32(reqKeys[i] % 8), true },
 			func(i int, val int, found bool) {
 				want, exists := ref[int32(reqKeys[i]%8)]
@@ -122,7 +117,8 @@ func TestRARCostIsConstantNumberOfSorts(t *testing.T) {
 	m := New(16)
 	v := m.Root()
 	RAR(v,
-		func(i int) (int32, int, bool) { return int32(i), i, true },
+		func(i int) (int32, bool) { return int32(i), true },
+		func(i int) int { return i },
 		func(i int) (int32, bool) { return int32(i), true },
 		func(i int, val int, found bool) {})
 	// 1 double sort + 1 double scan + 1 single sort + 1 step, per route.go.

@@ -256,11 +256,11 @@ func newMembershipStructure(bt *dict.BTree) *membershipStructure {
 	return &membershipStructure{bt: bt, maxPart: bt.InstallSplitter()}
 }
 
-func (s *membershipStructure) Kind() Kind                 { return KindMembership }
-func (s *membershipStructure) Graph() *graph.Graph        { return s.bt.G }
-func (s *membershipStructure) Successor() core.Successor  { return dict.Successor }
-func (s *membershipStructure) PerRequest() int            { return 1 }
-func (s *membershipStructure) ArgsFor(needle int64) Args  { return Args{needle} }
+func (s *membershipStructure) Kind() Kind                { return KindMembership }
+func (s *membershipStructure) Graph() *graph.Graph       { return s.bt.G }
+func (s *membershipStructure) Successor() core.Successor { return dict.Successor }
+func (s *membershipStructure) PerRequest() int           { return 1 }
+func (s *membershipStructure) ArgsFor(needle int64) Args { return Args{needle} }
 
 func (s *membershipStructure) MakeQueries(args []Args) []core.Query {
 	needles := make([]int64, len(args))
@@ -439,7 +439,7 @@ func (s *intervalStructure) MakeQueries(args []Args) []core.Query {
 }
 
 func (s *intervalStructure) Extract(qs []core.Query, i int) Answer {
-	count := s.ct.Counts(qs[2*i:2*i+2], 1)[0]
+	count := s.ct.Count(qs, i)
 	return Answer{Value: count, Found: count > 0, Steps: qs[2*i].Steps + qs[2*i+1].Steps}
 }
 
@@ -450,10 +450,10 @@ func (s *intervalStructure) Search(v mesh.View, in *core.Instance) {
 func (s *intervalStructure) Canary() []Args {
 	mid := (s.lo + s.hi) / 2
 	return []Args{
-		{s.lo, s.hi},           // everything
-		{s.lo - 10, s.lo - 5},  // below the domain: empty
-		{mid, mid},             // point stab
-		{mid, s.hi},            // upper half
+		{s.lo, s.hi},          // everything
+		{s.lo - 10, s.lo - 5}, // below the domain: empty
+		{mid, mid},            // point stab
+		{mid, s.hi},           // upper half
 	}
 }
 
@@ -544,10 +544,10 @@ func (s *linepolyStructure) Canary() []Args {
 	}
 	cx, cy = cx/int64(len(h)), cy/int64(len(h))
 	return []Args{
-		{h[0].X, h[0].Y},                      // hull vertex: hit
-		{cx, cy},                              // centroid: hit
-		{s.maxX + (s.maxX - s.minX), cy},      // far outside: miss
-		{s.minX - (s.maxX - s.minX), s.minY},  // far outside: miss
+		{h[0].X, h[0].Y},                     // hull vertex: hit
+		{cx, cy},                             // centroid: hit
+		{s.maxX + (s.maxX - s.minX), cy},     // far outside: miss
+		{s.minX - (s.maxX - s.minX), s.minY}, // far outside: miss
 	}
 }
 

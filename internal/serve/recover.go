@@ -93,6 +93,10 @@ func (s *Instance) serveBatch(kr *kindRuntime, batch []request) {
 				s.recovered.Add(1)
 				s.m.SetAudit(s.cfg.Audit)
 			}
+			// Count before delivering, as failBatch does: a client that
+			// holds its answer must find it in Stats.
+			s.served.Add(int64(len(batch)))
+			kr.served.Add(int64(len(batch)))
 			seq, label := h.Seq(), h.Label()
 			for i, r := range batch {
 				ans := kr.st.Extract(results, i)
@@ -112,8 +116,6 @@ func (s *Instance) serveBatch(kr *kindRuntime, batch []request) {
 					Round:   round,
 				}}
 			}
-			s.served.Add(int64(len(batch)))
-			kr.served.Add(int64(len(batch)))
 			s.observeRound(attempt > 0, false)
 			return
 		}
@@ -223,6 +225,11 @@ func (s *Instance) markBatch(batch []request, stage obs.Stage) {
 // oracle descent: correct (same answer, same search-path length a faithful
 // round would report) but unaccounted in mesh steps, and flagged Degraded.
 func (s *Instance) degradeBatch(kr *kindRuntime, batch []request, round int64) {
+	s.degraded.Add(int64(len(batch)))
+	kr.degraded.Add(int64(len(batch)))
+	s.degradedRounds.Add(1)
+	s.served.Add(int64(len(batch)))
+	kr.served.Add(int64(len(batch)))
 	for _, r := range batch {
 		ans := HostAnswer(kr.st, r.args)
 		if r.tr != nil {
@@ -243,11 +250,6 @@ func (s *Instance) degradeBatch(kr *kindRuntime, batch []request, round int64) {
 			Degraded: true,
 		}}
 	}
-	s.degraded.Add(int64(len(batch)))
-	kr.degraded.Add(int64(len(batch)))
-	s.degradedRounds.Add(1)
-	s.served.Add(int64(len(batch)))
-	kr.served.Add(int64(len(batch)))
 }
 
 // observeRound feeds the circuit breaker with one mesh-path outcome.
