@@ -112,12 +112,7 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 		}
 	}
 	st.Marked = len(qs)
-	mesh.SortScratch(v, qs, 1, func(a, b qitem) bool {
-		if a.part != b.part {
-			return a.part < b.part
-		}
-		return a.origin < b.origin
-	})
+	mesh.SortScratch(v, qs, 1, func(q qitem) uint64 { return mesh.Key2(q.part, q.origin) })
 	headQ := func(i int) bool { return i == 0 || qs[i].part != qs[i-1].part }
 	lastQ := func(i int) bool { return i == len(qs)-1 || qs[i].part != qs[i+1].part }
 	mesh.ScanScratch(v, qs, 1, headQ, func(a, b qitem) qitem { b.cnt += a.cnt; return b })
@@ -216,12 +211,7 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 			})
 		}
 	}
-	mesh.SortScratch(v, ns, 1, func(a, b nitem) bool {
-		if a.part != b.part {
-			return a.part < b.part
-		}
-		return a.id < b.id
-	})
+	mesh.SortScratch(v, ns, 1, func(n nitem) uint64 { return mesh.Key2(n.part, int32(n.id)) })
 	headN := func(i int) bool { return i == 0 || ns[i].part != ns[i-1].part }
 	lastN := func(i int) bool { return i == len(ns)-1 || ns[i].part != ns[i+1].part }
 	mesh.ScanScratch(v, ns, 1, headN, func(a, b nitem) nitem { b.cnt += a.cnt; return b })
@@ -290,12 +280,7 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 	}
 	mesh.Release(in.M, expanded)
 	mesh.Release(in.M, occupied)
-	mesh.SortScratch(v, place, 2, func(a, b placed) bool {
-		if a.layer != b.layer {
-			return a.layer < b.layer
-		}
-		return a.cell < b.cell
-	})
+	mesh.SortScratch(v, place, 2, func(p placed) uint64 { return mesh.Key2(p.layer, p.cell) })
 	for l := 0; l < st.Layers; l++ {
 		copies, staged := in.layer(l)
 		mesh.Fill(v, copies, emptyVertex)
@@ -325,12 +310,7 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 			origin: it.origin,
 		}
 	}
-	mesh.SortScratch(v, qp, 1, func(a, b qplaced) bool {
-		if a.layer != b.layer {
-			return a.layer < b.layer
-		}
-		return a.cell < b.cell
-	})
+	mesh.SortScratch(v, qp, 1, func(p qplaced) uint64 { return mesh.Key2(p.layer, p.cell) })
 	for _, p := range qp {
 		_, staged := in.layer(int(p.layer))
 		mesh.Set(v, staged, int(p.cell), mesh.At(v, in.Queries, int(p.origin)))

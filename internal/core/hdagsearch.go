@@ -158,6 +158,9 @@ func MultisearchHDag(v mesh.View, in *Instance, plan *HDagPlan) HDagStats {
 	return st
 }
 
+// byID is the sort word ordering vertex records by ID.
+func byID(nd graph.Vertex) uint64 { return mesh.Key2(0, int32(nd.ID)) }
+
 // distributeToLabels implements step 2(a) within one B_{i+1}-submesh: the
 // B_i records (found in the local stage copy) are spread over the label-i
 // processors, at most two per processor. Cost: one local sort.
@@ -186,7 +189,7 @@ func distributeToLabels(delta mesh.View, regs *hdagRegs, plan *HDagPlan, i int) 
 	if len(slots)*2 < len(recs) {
 		panic(fmt.Sprintf("core: B_%d: %d records onto %d label-%d processors", i, len(recs), len(slots), i))
 	}
-	mesh.SortScratch(delta, recs, 1, func(a, b graph.Vertex) bool { return a.ID < b.ID })
+	mesh.SortScratch(delta, recs, 1, byID)
 	for r, nd := range recs {
 		if r < len(slots) {
 			mesh.Set(delta, regs.store1, int(slots[r]), nd)
@@ -237,7 +240,7 @@ func replicateBi(delta mesh.View, regs *hdagRegs, plan *HDagPlan, i int) {
 	if len(recs) != blk.Count {
 		panic(fmt.Sprintf("core: replicate B_%d found %d records, plan says %d", i, len(recs), blk.Count))
 	}
-	mesh.SortScratch(delta, recs, 1, func(a, b graph.Vertex) bool { return a.ID < b.ID })
+	mesh.SortScratch(delta, recs, 1, byID)
 	gOut := plan.GridOf(i + 1)
 	children := delta.Partition(blk.Grid/gOut, blk.Grid/gOut)
 	mesh.Fill(delta, regs.work, emptyVertex)
@@ -264,7 +267,7 @@ func solveLemma1(sub mesh.View, in *Instance, regs *hdagRegs, blk HDagBlock) int
 				block1 = append(block1, nd)
 			}
 		}
-		mesh.SortScratch(sub, block1, 1, func(a, b graph.Vertex) bool { return a.ID < b.ID })
+		mesh.SortScratch(sub, block1, 1, byID)
 		grand := sub.Partition(blk.P1Grid, blk.P1Grid)
 		mesh.Fill(sub, regs.phase1, emptyVertex)
 		mesh.BroadcastBlock(sub, regs.phase1, block1, grand)

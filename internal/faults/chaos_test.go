@@ -6,13 +6,16 @@ import (
 	"repro/internal/mesh"
 )
 
+// intKey is the order-preserving sort word of a signed test value.
+func intKey(x int) uint64 { return uint64(x) ^ 1<<63 }
+
 // workload exercises every injection point: a register sort, a scan, and a
 // full-mesh RAR with one reply per processor.
 func workload(m *mesh.Mesh) {
 	v := m.Root()
 	r := mesh.NewReg[int](m)
 	mesh.Apply(v, r, func(i int, _ int) int { return (i * 2654435761) % 1009 })
-	mesh.Sort(v, r, func(a, b int) bool { return a < b })
+	mesh.Sort(v, r, intKey)
 	mesh.Scan(v, r, func(a, b int) int { return a + b })
 	n := v.Size()
 	mesh.RAR(v,

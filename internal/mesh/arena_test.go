@@ -42,17 +42,17 @@ func TestRARAllocsSteadyState(t *testing.T) {
 	}{
 		{"int64", func() {
 			RAR(v,
-				func(i int) (int64, bool) { return int64(i), true },
+				func(i int) (int32, bool) { return int32(i), true },
 				func(i int) int64 { return int64(i) * 3 },
-				func(i int) (int64, bool) { return int64((i * 7) % v.Size()), true },
+				func(i int) (int32, bool) { return int32((i * 7) % v.Size()), true },
 				func(i int, val int64, found bool) {},
 			)
 		}},
 		{"graph.Vertex", func() {
 			RAR(v,
-				func(i int) (int64, bool) { return int64(i), true },
+				func(i int) (int32, bool) { return int32(i), true },
 				func(i int) graph.Vertex { return verts[i] },
-				func(i int) (int64, bool) { return int64((i * 7) % v.Size()), true },
+				func(i int) (int32, bool) { return int32((i * 7) % v.Size()), true },
 				func(i int, val graph.Vertex, found bool) {},
 			)
 		}},
@@ -72,7 +72,7 @@ func TestSortConcentrateAllocsSteadyState(t *testing.T) {
 	v := m.Root()
 	r := NewReg[int64](m)
 	body := func() {
-		Sort(v, r, func(a, b int64) bool { return a < b })
+		Sort(v, r, int64Key)
 		Concentrate(v, r, -1, func(x int64) bool { return x%2 == 0 })
 		Scan(v, r, func(a, b int64) int64 { return a + b })
 	}
@@ -80,6 +80,75 @@ func TestSortConcentrateAllocsSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, body)
 	if allocs > 1 {
 		t.Errorf("steady-state Sort+Concentrate+Scan allocates %.0f per op, want ≤ 1", allocs)
+	}
+}
+
+// Every charged sort takes its key, index and gather banks from the arena,
+// so after warm-up none of them allocates. Each body reloads an unsorted
+// bank first, so every call runs the radix passes and the gather rather
+// than the already-sorted shortcut.
+func TestChargedSortsAllocFree(t *testing.T) {
+	m := New(32)
+	v := m.Root()
+	n := v.Size()
+	r := NewReg[int64](m)
+	// Keys spread over three bytes, with duplicates.
+	unsorted := make([]int64, 2*n)
+	for i := range unsorted {
+		unsorted[i] = int64((i*2654435761)%100003) - 50000
+	}
+	bank := make([]int64, 2*n)
+	src := unsorted[:n]
+	perm := func(i int) int { return (i * 7) % n } // n is a power of two
+	cases := []struct {
+		name string
+		op   func()
+	}{
+		{"Sort", func() {
+			Load(v, r, src)
+			Sort(v, r, int64Key)
+		}},
+		{"SortSnake", func() {
+			Load(v, r, src)
+			SortSnake(v, r, int64Key)
+		}},
+		{"SortScratch/perProc=2", func() {
+			copy(bank, unsorted)
+			SortScratch(v, bank, 2, int64Key)
+		}},
+		{"Concentrate", func() {
+			Load(v, r, src)
+			Concentrate(v, r, -1, func(x int64) bool { return x%2 == 0 })
+		}},
+		{"RouteScratch", func() {
+			dst, occ := RouteScratch(v, src, n, 1, perm)
+			Release(m, dst)
+			Release(m, occ)
+		}},
+		{"Route", func() {
+			Load(v, r, src)
+			Route(v, r, -1, func(i int, _ int64) (int, bool) { return perm(i), true })
+		}},
+		{"RAR", func() {
+			RAR(v,
+				func(i int) (int32, bool) { return int32(i), true },
+				func(i int) int64 { return src[i] },
+				func(i int) (int32, bool) { return int32(perm(i)), true },
+				func(int, int64, bool) {})
+		}},
+		{"RAW", func() {
+			RAW(v,
+				func(i int) (int32, bool) { return int32(i), true },
+				func(i int) (int32, int64, bool) { return int32(perm(i)), src[i], true },
+				func(a, b int64) int64 { return a + b },
+				func(int, int64, bool) {})
+		}},
+	}
+	for _, tc := range cases {
+		tc.op() // warm the arena once
+		if allocs := testing.AllocsPerRun(20, tc.op); allocs != 0 {
+			t.Errorf("%s: steady state allocates %.0f per call, want 0", tc.name, allocs)
+		}
 	}
 }
 
@@ -97,12 +166,12 @@ func TestRunParallelPooledStress(t *testing.T) {
 		}
 		subs := v.Partition(4, 4)
 		v.RunParallel(subs, func(idx int, sub View) {
-			Sort(sub, r, func(a, b int64) bool { return a < b })
+			Sort(sub, r, int64Key)
 			// RAR: every processor reads the record keyed by its mirror.
 			RAR(sub,
-				func(i int) (int64, bool) { return int64(i), true },
+				func(i int) (int32, bool) { return int32(i), true },
 				func(i int) int64 { return At(sub, r, i) },
-				func(i int) (int64, bool) { return int64(sub.Size() - 1 - i), true },
+				func(i int) (int32, bool) { return int32(sub.Size() - 1 - i), true },
 				func(i int, val int64, found bool) {
 					if !found {
 						t.Errorf("sub %d: RAR miss at %d", idx, i)
@@ -132,9 +201,9 @@ func BenchmarkRARSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		RAR(v,
-			func(i int) (int64, bool) { return int64(i), true },
+			func(i int) (int32, bool) { return int32(i), true },
 			func(i int) int64 { return int64(i) * 3 },
-			func(i int) (int64, bool) { return int64((i * 7) % v.Size()), true },
+			func(i int) (int32, bool) { return int32((i * 7) % v.Size()), true },
 			func(i int, val int64, found bool) {},
 		)
 	}

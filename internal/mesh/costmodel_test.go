@@ -15,12 +15,12 @@ func TestTheoreticalNeverExceedsCounted(t *testing.T) {
 		}{
 			{"sort", func(m *Mesh) int64 {
 				r := NewReg[int](m)
-				Sort(m.Root(), r, func(a, b int) bool { return a < b })
+				Sort(m.Root(), r, intKey)
 				return m.Steps()
 			}},
 			{"snake-sort", func(m *Mesh) int64 {
 				r := NewReg[int](m)
-				SortSnake(m.Root(), r, func(a, b int) bool { return a < b })
+				SortSnake(m.Root(), r, intKey)
 				return m.Steps()
 			}},
 			{"rar", func(m *Mesh) int64 {

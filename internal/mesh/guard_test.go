@@ -54,7 +54,7 @@ func sortWorkload(m *Mesh) {
 	v := m.Root()
 	r := NewReg[int](m)
 	Apply(v, r, func(i int, _ int) int { return (i * 7919) % 101 })
-	Sort(v, r, func(a, b int) bool { return a < b })
+	Sort(v, r, intKey)
 	Scan(v, r, func(a, b int) int { return a + b })
 }
 
@@ -106,7 +106,7 @@ func TestBudgetCountsCriticalChainInsideRunParallel(t *testing.T) {
 		subs := m.Root().Partition(2, 2)
 		r := NewReg[int](m)
 		m.Root().RunParallel(subs, func(idx int, sub View) {
-			Sort(sub, r, func(a, b int) bool { return a < b })
+			Sort(sub, r, intKey)
 		})
 		return m.Steps()
 	}()
@@ -114,7 +114,7 @@ func TestBudgetCountsCriticalChainInsideRunParallel(t *testing.T) {
 	subs := m.Root().Partition(2, 2)
 	r := NewReg[int](m)
 	m.Root().RunParallel(subs, func(idx int, sub View) {
-		Sort(sub, r, func(a, b int) bool { return a < b })
+		Sort(sub, r, intKey)
 	})
 
 	// With the budget one step short, the overrun fires inside a parallel
@@ -135,7 +135,7 @@ func TestBudgetCountsCriticalChainInsideRunParallel(t *testing.T) {
 		}
 	}()
 	m2.Root().RunParallel(subs2, func(idx int, sub View) {
-		Sort(sub, r2, func(a, b int) bool { return a < b })
+		Sort(sub, r2, intKey)
 	})
 	t.Fatal("budget should have fired")
 }

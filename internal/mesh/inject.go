@@ -26,8 +26,9 @@ type Injector interface {
 	// SortLie is consulted once before each charged sort of items records
 	// (op names the operation, e.g. "Sort", "RAR", "Route"). A return k ≥ 1
 	// makes the sort's comparator lie — return the negated answer — from the
-	// k-th comparison onward, modelling a faulty comparison unit. 0 leaves
-	// the sort honest.
+	// k-th comparison onward, modelling a faulty comparison unit; the sort
+	// then runs as the reference comparison sort, whose comparisons k
+	// counts. 0 leaves the sort honest.
 	SortLie(op string, items int) int64
 
 	// CorruptCell is consulted once after each charged operation has produced

@@ -75,7 +75,7 @@ var opClassDrivers = map[OpClass]struct {
 			xs[i] = v.Size() - i
 		}
 		Load(v, r, xs)
-		Sort(v, r, func(a, b int) bool { return a < b })
+		Sort(v, r, intKey)
 	}},
 	OpScan: {"Scan", 0, 1, func(m *Mesh) {
 		r := NewReg[int](m)

@@ -30,6 +30,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // CostModel selects how compound operations (sorting in particular) are
@@ -64,8 +65,13 @@ type Mesh struct {
 
 	root sink
 
-	// parallelism limits concurrent submesh bodies in RunParallel.
-	sem chan struct{}
+	// parallelism limits concurrent submesh bodies in RunParallel. A body
+	// that takes a slot travels to its goroutine through handoff, whose
+	// buffer matches sem's: at most one body waits per slot held. spawn is
+	// the goroutine's function, bound once (see Mesh.spawned).
+	sem     chan struct{}
+	handoff chan parTask
+	spawn   func()
 
 	// pools is the scratch-buffer arena: one free list per element type
 	// (see arena.go).
@@ -219,6 +225,8 @@ func New(side int, opts ...Option) *Mesh {
 	if m.sem == nil {
 		m.sem = make(chan struct{}, runtime.GOMAXPROCS(0))
 	}
+	m.handoff = make(chan parTask, cap(m.sem))
+	m.spawn = m.spawned
 	if m.tracer != nil {
 		m.root.tc = m.tracer.Attach(m.geometry())
 	}
@@ -417,64 +425,35 @@ func (v View) RunParallel(subs []View, body func(idx int, sub View)) {
 	if len(subs) == 0 {
 		return
 	}
-	sinks := make([]sink, len(subs))
+	p := &parRun{m: v.m, subs: subs, body: body, sinks: make([]sink, len(subs))}
 	base := v.sink.base + v.sink.steps
-	// Contain body panics: an unrecovered panic in a spawned goroutine kills
-	// the whole process with no chance of recovery anywhere, so each body —
-	// spawned or inline — runs behind a recover that captures the first
-	// panic, lets every other submesh finish, and re-raises on the calling
-	// goroutine where core.Run / bench.SafeRun can catch it.
-	var (
-		panicMu sync.Mutex
-		caught  *PanicError
-	)
-	run := func(i int, sub View) {
-		defer func() {
-			if r := recover(); r != nil {
-				pe, ok := r.(*PanicError)
-				if !ok {
-					pe = &PanicError{Geom: v.m.geometry(), Val: r, Stack: debug.Stack()}
-				}
-				panicMu.Lock()
-				if caught == nil {
-					caught = pe
-				}
-				panicMu.Unlock()
-			}
-		}()
-		body(i, sub)
-	}
-	var wg sync.WaitGroup
-	for i := range subs {
-		sub := subs[i]
-		sub.sink = &sinks[i]
-		sinks[i].parent = v.sink
-		sinks[i].base = base
+	for i := range p.sinks {
+		p.sinks[i].parent = v.sink
+		p.sinks[i].base = base
 		if v.sink.tc != nil {
-			sinks[i].tc = v.sink.tc.Fork()
+			p.sinks[i].tc = v.sink.tc.Fork()
 		}
-		// Spawn if a worker slot is free; otherwise run inline. Running
-		// inline keeps nested RunParallel calls deadlock-free: a body that
-		// itself fans out never waits on slots held by blocked ancestors.
+	}
+	// Take the bodies in index order: spawn a body if a worker slot is free,
+	// otherwise run it inline. Running inline keeps nested RunParallel calls
+	// deadlock-free: a body that itself fans out never waits on slots held
+	// by blocked ancestors.
+	for i := p.claim(); i < len(subs); i = p.claim() {
 		select {
 		case v.m.sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int, sub View) {
-				defer func() {
-					<-v.m.sem
-					wg.Done()
-				}()
-				run(i, sub)
-			}(i, sub)
+			p.wg.Add(1)
+			v.m.handoff <- parTask{p, i}
+			go v.m.spawn()
 		default:
-			run(i, sub)
+			p.run(i)
 		}
 	}
-	wg.Wait()
+	p.wg.Wait()
 	// Charge the parent the elapsed parallel time: the cost of the most
 	// expensive submesh. Its profile is the critical-path breakdown and is
 	// merged wholesale, keeping the invariant that per-class step totals
 	// sum to the step clock.
+	sinks := p.sinks
 	maxIdx := 0
 	for i := range sinks {
 		if sinks[i].steps > sinks[maxIdx].steps {
@@ -488,9 +467,75 @@ func (v View) RunParallel(subs []View, body func(idx int, sub View)) {
 	if v.sink.tc != nil {
 		v.sink.tc.Merge(sinks[maxIdx].tc)
 	}
-	if caught != nil {
-		panic(caught)
+	if p.caught != nil {
+		panic(p.caught)
 	}
+}
+
+// parRun is the state one RunParallel call shares with the goroutines that
+// run its spawned bodies.
+type parRun struct {
+	m     *Mesh
+	subs  []View
+	body  func(idx int, sub View)
+	sinks []sink       // sinks[i] is sub-view i's clock, owned by whoever runs body i
+	next  atomic.Int64 // bodies claimed so far, by the caller or a spawned goroutine
+	wg    sync.WaitGroup
+
+	mu     sync.Mutex
+	caught *PanicError // the first body panic
+}
+
+// parTask is one body RunParallel hands to a spawned goroutine.
+type parTask struct {
+	p *parRun
+	i int
+}
+
+// claim takes the next unstarted body of the call.
+func (p *parRun) claim() int { return int(p.next.Add(1) - 1) }
+
+// spawned is the goroutine of one spawned body. Every go statement in
+// RunParallel follows the hand-off of exactly one body, so each goroutine
+// receives one (with nested calls, not necessarily the one handed off just
+// before it). It then keeps its worker slot and claims the call's remaining
+// bodies alongside the caller, so a call spawns at most one goroutine per
+// slot. No go statement carries arguments — Mesh.spawn is this method,
+// bound once — so spawning allocates nothing, and a call's allocations do
+// not depend on how many bodies find a free worker slot.
+func (m *Mesh) spawned() {
+	t := <-m.handoff
+	defer func() {
+		<-m.sem
+		t.p.wg.Done()
+	}()
+	for i := t.i; i < len(t.p.subs); i = t.p.claim() {
+		t.p.run(i)
+	}
+}
+
+// run executes body i behind a recover. An unrecovered panic in a spawned
+// goroutine kills the whole process with no chance of recovery anywhere, so
+// the first panic is latched, every other submesh finishes, and RunParallel
+// re-raises it on the calling goroutine, where core.Run / bench.SafeRun can
+// catch it.
+func (p *parRun) run(i int) {
+	defer func() {
+		if r := recover(); r != nil {
+			pe, ok := r.(*PanicError)
+			if !ok {
+				pe = &PanicError{Geom: p.m.geometry(), Val: r, Stack: debug.Stack()}
+			}
+			p.mu.Lock()
+			if p.caught == nil {
+				p.caught = pe
+			}
+			p.mu.Unlock()
+		}
+	}()
+	sub := p.subs[i]
+	sub.sink = &p.sinks[i]
+	p.body(i, sub)
 }
 
 // RunSequential executes body on each sub-view one after another, charging

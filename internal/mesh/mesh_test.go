@@ -175,6 +175,31 @@ func TestRunParallelBodiesSeeDisjointRegions(t *testing.T) {
 	}
 }
 
+// A RunParallel call must allocate the same however many of its bodies
+// find a free worker slot: otherwise allocations per round rise as rounds
+// get faster and slots free up sooner. AllocsPerRun runs on one P, so no
+// spawned worker runs before the caller has tried every slot: one worker
+// spawns at parallelism 1, two at parallelism 2.
+func TestRunParallelAllocsIndependentOfSpawns(t *testing.T) {
+	allocs := func(parallelism int) float64 {
+		m := New(16, WithParallelism(parallelism))
+		v := m.Root()
+		r := NewReg[int64](m)
+		subs := v.Partition(2, 2)
+		call := func() {
+			v.RunParallel(subs, func(i int, sub View) {
+				Apply(sub, r, func(j int, _ int64) int64 { return int64((j*7919 + i) % 97) })
+				Sort(sub, r, int64Key)
+			})
+		}
+		call()
+		return testing.AllocsPerRun(50, call)
+	}
+	if a1, a2 := allocs(1), allocs(2); a1 != a2 {
+		t.Errorf("RunParallel allocates %.0f per call at parallelism 1, %.0f at parallelism 2; want equal", a1, a2)
+	}
+}
+
 func TestCostModelString(t *testing.T) {
 	if CostCounted.String() != "counted" || CostTheoretical.String() != "theoretical" {
 		t.Fatal("CostModel strings")

@@ -15,24 +15,24 @@ func TestProfileSumsToSteps(t *testing.T) {
 	for i := 0; i < v.Size(); i++ {
 		Set(v, r, i, int64(i%17))
 	}
-	Sort(v, r, func(a, b int64) bool { return a < b })
+	Sort(v, r, int64Key)
 	Scan(v, r, func(a, b int64) int64 { return a + b })
 	Broadcast(v, r, 0)
 	Reduce(v, r, func(a, b int64) int64 { return a + b })
 	RotateRows(v, r, 3)
 	Concentrate(v, r, -1, func(x int64) bool { return x%2 == 0 })
 	RAR(v,
-		func(i int) (int64, bool) { return int64(i), true },
+		func(i int) (int32, bool) { return int32(i), true },
 		func(i int) int64 { return int64(i) },
-		func(i int) (int64, bool) { return int64(i), true },
+		func(i int) (int32, bool) { return int32(i), true },
 		func(i int, val int64, found bool) {})
 	RAW(v,
-		func(i int) (int64, bool) { return int64(i), true },
-		func(i int) (int64, int64, bool) { return int64(i / 2), 1, true },
+		func(i int) (int32, bool) { return int32(i), true },
+		func(i int) (int32, int64, bool) { return int32(i / 2), 1, true },
 		func(a, b int64) int64 { return a + b },
 		func(i int, combined int64, any bool) {})
 	v.RunParallel(v.Partition(2, 2), func(_ int, sub View) {
-		Sort(sub, r, func(a, b int64) bool { return a < b })
+		Sort(sub, r, int64Key)
 		sub.Charge(4)
 	})
 	v.RunSequential(v.Partition(4, 4), func(_ int, sub View) {
@@ -61,9 +61,9 @@ func TestCompoundOpAttribution(t *testing.T) {
 	m := New(8)
 	v := m.Root()
 	RAR(v,
-		func(i int) (int64, bool) { return int64(i), true },
+		func(i int) (int32, bool) { return int32(i), true },
 		func(i int) int64 { return int64(i) },
-		func(i int) (int64, bool) { return int64(i), true },
+		func(i int) (int32, bool) { return int32(i), true },
 		func(i int, val int64, found bool) {})
 	p := m.Profile()
 	if p.Ops[OpRAR].Count != 1 {
@@ -82,7 +82,7 @@ func TestCompoundOpAttribution(t *testing.T) {
 func TestResetStepsClearsProfile(t *testing.T) {
 	m := New(8)
 	r := NewReg[int64](m)
-	Sort(m.Root(), r, func(a, b int64) bool { return a < b })
+	Sort(m.Root(), r, int64Key)
 	m.ResetSteps()
 	if m.Steps() != 0 || m.Profile().TotalSteps() != 0 || m.Profile().TotalOps() != 0 {
 		t.Fatalf("ResetSteps left steps=%d profile=%+v", m.Steps(), m.Profile())
@@ -98,7 +98,7 @@ func TestProfileCriticalPathMerge(t *testing.T) {
 	subs := v.Partition(2, 2)
 	v.RunParallel(subs, func(idx int, sub View) {
 		if idx == 0 {
-			Sort(sub, r, func(a, b int64) bool { return a < b }) // expensive
+			Sort(sub, r, int64Key) // expensive
 		} else {
 			sub.Charge(1) // cheap
 		}

@@ -1,13 +1,12 @@
 package mesh
 
-import "cmp"
-
 // RARRef is the random-access read as it stood before the bank went thin:
 // its sort bank carries every record's value through both sorts and the
-// copy-scan. It is kept verbatim as the reference the differential test
-// (rar_diff_test.go) drives the production RAR against, and is exported
-// only to that external test package.
-func RARRef[K cmp.Ordered, V any](v View,
+// copy-scan. It is kept as the reference the differential test
+// (rar_diff_test.go) drives the production RAR against, changed only to
+// sort by the same key words, and is exported only to that external test
+// package.
+func RARRef[K ~int32, V any](v View,
 	record func(local int) (key K, val V, ok bool),
 	request func(local int) (key K, ok bool),
 	deliver func(local int, val V, found bool),
@@ -49,12 +48,7 @@ func RARRef[K cmp.Ordered, V any](v View,
 			}
 		}
 	}
-	sortSlice(v, "RAR", items, 2, func(a, b item) bool {
-		if a.key != b.key {
-			return a.key < b.key
-		}
-		return !a.isReq && b.isReq
-	})
+	sortSlice(v, "RAR", items, 2, func(it item) uint64 { return bankWord(it.key, it.isReq) })
 	scanSlice(v, "RAR", items, 2,
 		func(i int) bool { return i == 0 || items[i].key != items[i-1].key },
 		func(a, b item) item {
@@ -71,7 +65,7 @@ func RARRef[K cmp.Ordered, V any](v View,
 			reqs = append(reqs, it)
 		}
 	}
-	sortSlice(v, "RAR", reqs, 1, func(a, b item) bool { return a.origin < b.origin })
+	sortSlice(v, "RAR", reqs, 1, func(it item) uint64 { return uint64(it.origin) })
 	// Delivery sweep, with optional reply-fault injection: a dropped reply
 	// is skipped, a duplicated reply lands a second time at another
 	// request's origin.

@@ -1,7 +1,6 @@
 package mesh
 
 import (
-	"cmp"
 	"fmt"
 	"reflect"
 )
@@ -20,11 +19,11 @@ import (
 // physical machine sorts 2m items on m processors (two words per link per
 // transposition round, doubling the phase time).
 
-// SortScratch stable-sorts xs, a scratch bank holding up to perProc records
-// per processor of the view, charging perProc row-major sorts.
-func SortScratch[T any](v View, xs []T, perProc int, less func(a, b T) bool) {
+// SortScratch stable-sorts xs by key, a scratch bank holding up to perProc
+// records per processor of the view, charging perProc row-major sorts.
+func SortScratch[T any](v View, xs []T, perProc int, key func(T) uint64) {
 	v = v.begin(OpSort)
-	sortSlice(v, "SortScratch", xs, perProc, less)
+	sortSlice(v, "SortScratch", xs, perProc, key)
 }
 
 // ScanScratch performs a segmented inclusive scan over scratch bank xs in
@@ -52,6 +51,9 @@ type move struct {
 	dest, src int32
 }
 
+// byDest is the sort word of a move list: the destination.
+func byDest(mv move) uint64 { return uint64(mv.dest) }
+
 // collectMoves builds the pooled move list for Route/RouteTo and validates
 // destinations. The caller releases it.
 func collectMoves[T any](v View, read func(local int) T, sel func(local int, val T) (dest int, ok bool), opName string) []move {
@@ -65,7 +67,7 @@ func collectMoves[T any](v View, read func(local int) T, sel func(local int, val
 			moves = append(moves, move{int32(d), int32(i)})
 		}
 	}
-	sortSlice(v, opName, moves, 1, func(a, b move) bool { return a.dest < b.dest })
+	sortSlice(v, opName, moves, 1, byDest)
 	for i := 1; i < len(moves); i++ {
 		if moves[i].dest == moves[i-1].dest {
 			panic("mesh: " + opName + " destination collision")
@@ -118,7 +120,7 @@ func RouteScratch[T any](v View, src []T, dstLen, perProc int, dest func(i int) 
 		}
 		moves = append(moves, move{int32(d), int32(i)})
 	}
-	runSort(v, "RouteScratch", moves, func(a, b move) bool { return a.dest < b.dest })
+	runSort(v, "RouteScratch", moves, byDest)
 	dst = Checkout[T](v.m, dstLen)
 	occupied = Checkout[bool](v.m, dstLen)
 	clear(dst)
@@ -133,6 +135,16 @@ func RouteScratch[T any](v View, src []T, dstLen, perProc int, dest func(i int) 
 	Release(v.m, moves)
 	v.charge(OpRoute, int64(perProc)*v.rowMajorSortCost())
 	return dst, occupied
+}
+
+// bankWord is the sort word of a RAR/RAW bank item: the key, then the item
+// whose second flag is false (the record) before the one whose flag is true.
+func bankWord[K ~int32](key K, second bool) uint64 {
+	w := uint64(uint32(key)^signBit) << 1
+	if second {
+		w |= 1
+	}
+	return w
 }
 
 // rarExpect is the audit-mode oracle record for one RAR request (or one RAW
@@ -187,15 +199,15 @@ func auditAllDelivered[V any](v View, op string, expect map[int32]*rarExpect[V])
 // receive found=false and the zero V.
 //
 // Mesh realization charged here: sort the 2m-item bank by (key, records
-// first); copy-scan record values across the requests that follow them;
-// sort the requests back by origin. Cost: 1 double-sort + 1 double-scan +
-// 1 single sort.
+// first) — one sort word, bankWord(key, isReq); copy-scan record values
+// across the requests that follow them; sort the requests back by origin.
+// Cost: 1 double-sort + 1 double-scan + 1 single sort.
 //
 // The bank is thin: a record enters it as its key plus its processor index,
 // and the copy-scan copies that index, not the value. value(local) reads a
 // record's value where it lands — once per delivered request, plus once per
 // request for the audit oracle — so the sorted items stay 16 bytes for the
-// algorithms' int32 keys however wide V is. Charges, comparator and
+// algorithms' int32 keys however wide V is. Charges, sort words,
 // scan-head decisions, fault consultations and audit verdicts read only
 // keys, flags and indices, so they are those of a bank that carries the
 // values. Contract: record values must not change during the RAR — deliver
@@ -205,7 +217,7 @@ func auditAllDelivered[V any](v View, op string, expect map[int32]*rarExpect[V])
 // built from the pristine item bank, and each pending request must be
 // delivered exactly once — which is what detects injected dropped or
 // duplicated replies and corrupted bank records.
-func RAR[K cmp.Ordered, V any](v View,
+func RAR[K ~int32, V any](v View,
 	key func(local int) (K, bool),
 	value func(local int) V,
 	request func(local int) (key K, ok bool),
@@ -253,12 +265,7 @@ func RAR[K cmp.Ordered, V any](v View,
 			}
 		}
 	}
-	sortSlice(v, "RAR", items, 2, func(a, b item) bool {
-		if a.key != b.key {
-			return a.key < b.key
-		}
-		return !a.isReq && b.isReq
-	})
+	sortSlice(v, "RAR", items, 2, func(it item) uint64 { return bankWord(it.key, it.isReq) })
 	scanSlice(v, "RAR", items, 2,
 		func(i int) bool { return i == 0 || items[i].key != items[i-1].key },
 		func(a, b item) item {
@@ -275,7 +282,7 @@ func RAR[K cmp.Ordered, V any](v View,
 			reqs = append(reqs, it)
 		}
 	}
-	sortSlice(v, "RAR", reqs, 1, func(a, b item) bool { return a.origin < b.origin })
+	sortSlice(v, "RAR", reqs, 1, func(it item) uint64 { return uint64(it.origin) })
 	// Delivery sweep, with optional reply-fault injection: a dropped reply
 	// is skipped, a duplicated reply lands a second time at another
 	// request's origin.
@@ -322,13 +329,13 @@ func RAR[K cmp.Ordered, V any](v View,
 // not delivered. Writes to keys with no record cell are dropped.
 //
 // Mesh realization charged here: sort the 2m-item bank by (key, record
-// first); a reverse segmented copy-scan folds each key's writes together
+// first) — bankWord(key, !isRec); a reverse segmented copy-scan folds each key's writes together
 // onto its record; sort the records back by origin. Cost: 1 double-sort +
 // 1 double-scan + 1 single sort.
 //
 // In audit mode every record delivery is cross-checked against a host-side
 // fold of the pristine write set, mirroring RAR's oracle.
-func RAW[K cmp.Ordered, V any](v View,
+func RAW[K ~int32, V any](v View,
 	record func(local int) (key K, ok bool),
 	write func(local int) (key K, val V, ok bool),
 	combine func(a, b V) V,
@@ -378,12 +385,7 @@ func RAW[K cmp.Ordered, V any](v View,
 			}
 		}
 	}
-	sortSlice(v, "RAW", items, 2, func(a, b item) bool {
-		if a.key != b.key {
-			return a.key < b.key
-		}
-		return a.isRec && !b.isRec
-	})
+	sortSlice(v, "RAW", items, 2, func(it item) uint64 { return bankWord(it.key, !it.isRec) })
 	// Reverse scan: fold write values toward the record at the front of
 	// each key segment.
 	scanSliceRev(v, "RAW", items, 2,
@@ -405,7 +407,7 @@ func RAW[K cmp.Ordered, V any](v View,
 			recs = append(recs, it)
 		}
 	}
-	sortSlice(v, "RAW", recs, 1, func(a, b item) bool { return a.origin < b.origin })
+	sortSlice(v, "RAW", recs, 1, func(it item) uint64 { return uint64(it.origin) })
 	for _, it := range recs {
 		if expect != nil {
 			auditDelivery(v, "RAW", expect, it.origin, it.val, it.has)
@@ -499,10 +501,10 @@ func Route[T any](v View, r *Reg[T], clear T, sel func(local int, val T) (dest i
 // Cost: one sort (stable sort by the predicate).
 //
 // The concentration executes as a stable sort on the predicate through
-// runSort — satisfying records before the rest, order preserved within each
-// group — so the fault-injection and audit seams cover it like every other
-// charged sort. The non-satisfying tail is overwritten with clear after the
-// sort (and after the audit's reference comparison).
+// runSort — key 0 for satisfying records, 1 for the rest, order preserved
+// within each group — so the fault-injection and audit seams cover it like
+// every other charged sort. The non-satisfying tail is overwritten with
+// clear after the sort (and after the audit's reference comparison).
 func Concentrate[T any](v View, r *Reg[T], clearVal T, pred func(T) bool) int {
 	v = v.begin(OpConcentrate)
 	xs := gatherScratch(v, r)
@@ -512,7 +514,12 @@ func Concentrate[T any](v View, r *Reg[T], clearVal T, pred func(T) bool) int {
 			k++
 		}
 	}
-	runSort(v, "Concentrate", xs, func(a, b T) bool { return pred(a) && !pred(b) })
+	runSort(v, "Concentrate", xs, func(x T) uint64 {
+		if pred(x) {
+			return 0
+		}
+		return 1
+	})
 	for i := k; i < len(xs); i++ {
 		xs[i] = clearVal
 	}

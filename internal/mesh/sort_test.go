@@ -7,12 +7,17 @@ import (
 	"testing/quick"
 )
 
+// intKey and int64Key are the order-preserving sort words of signed test
+// values.
+func intKey(x int) uint64     { return uint64(x) ^ 1<<63 }
+func int64Key(x int64) uint64 { return uint64(x) ^ 1<<63 }
+
 func TestSortRowMajor(t *testing.T) {
 	m := New(8)
 	r := NewReg[int](m)
 	v := m.Root().Sub(0, 0, 4, 4)
 	xs := intsOnView(v, r, 10)
-	Sort(v, r, func(a, b int) bool { return a < b })
+	Sort(v, r, intKey)
 	want := append([]int(nil), xs...)
 	sort.Ints(want)
 	got := Snapshot(v, r)
@@ -31,7 +36,7 @@ func TestSortStability(t *testing.T) {
 	for i := 0; i < v.Size(); i++ {
 		Set(v, r, i, kv{k: i % 3, seq: i})
 	}
-	Sort(v, r, func(a, b kv) bool { return a.k < b.k })
+	Sort(v, r, func(x kv) uint64 { return intKey(x.k) })
 	prev := kv{-1, -1}
 	for i := 0; i < v.Size(); i++ {
 		cur := At(v, r, i)
@@ -47,7 +52,7 @@ func TestSortSnakeOrder(t *testing.T) {
 	r := NewReg[int](m)
 	v := m.Root()
 	intsOnView(v, r, 11)
-	SortSnake(v, r, func(a, b int) bool { return a < b })
+	SortSnake(v, r, intKey)
 	// Read back in snake order; must be nondecreasing.
 	prev := -1 << 30
 	for row := 0; row < v.Rows(); row++ {
@@ -70,7 +75,7 @@ func TestSortIsPermutation(t *testing.T) {
 	r := NewReg[int](m)
 	v := m.Root()
 	xs := intsOnView(v, r, 12)
-	Sort(v, r, func(a, b int) bool { return a < b })
+	Sort(v, r, intKey)
 	got := Snapshot(v, r)
 	count := map[int]int{}
 	for _, x := range xs {
@@ -92,7 +97,7 @@ func TestSortCostFormulas(t *testing.T) {
 	r := NewReg[int](m)
 	v := m.Root()
 	intsOnView(v, r, 13)
-	Sort(v, r, func(a, b int) bool { return a < b })
+	Sort(v, r, intKey)
 	want := int64((log2Ceil(16)+1)*(16+16) + 16)
 	if m.Steps() != want {
 		t.Fatalf("counted sort cost %d want %d", m.Steps(), want)
@@ -102,7 +107,7 @@ func TestSortCostFormulas(t *testing.T) {
 	rt := NewReg[int](mt)
 	vt := mt.Root()
 	intsOnView(vt, rt, 13)
-	Sort(vt, rt, func(a, b int) bool { return a < b })
+	Sort(vt, rt, intKey)
 	if mt.Steps() != int64(3*16+16) {
 		t.Fatalf("theoretical sort cost %d", mt.Steps())
 	}
@@ -229,5 +234,5 @@ func TestSortScratchPanicsOnOverflow(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SortScratch(v, make([]int, 9), 2, func(a, b int) bool { return a < b })
+	SortScratch(v, make([]int, 9), 2, intKey)
 }

@@ -65,7 +65,7 @@ func TestTracedRunMatchesPlainRun(t *testing.T) {
 		r := NewReg[int](m)
 		v.RunParallel(subs, func(idx int, sub View) {
 			end := sub.Span("sub")
-			Sort(sub, r, func(a, b int) bool { return a < b })
+			Sort(sub, r, intKey)
 			end()
 		})
 		v.RunSequential(v.Partition(2, 1), func(idx int, sub View) {

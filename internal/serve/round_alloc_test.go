@@ -13,7 +13,9 @@ import (
 // batch 1 and at a full batch. Algorithm 1 (pointloc, tangent) keeps its
 // registers on the instance and allocates only ResultQueries' fresh result
 // slice; Algorithms 2/3 (membership, interval, linepoly) add RunParallel's
-// per-call bookkeeping. Constrained-Multisearch takes every bank from the
+// per-call bookkeeping (its shared state and the sub-view clocks; a spawn
+// allocates nothing).
+// Constrained-Multisearch and every charged sort take their banks from the
 // mesh arena. A register-sized make (a graph.Vertex register is 48 KiB at
 // side 16, a Query register 20 KiB) or a bank-sized one (an int32 per
 // processor is 1 KiB) per round breaks these pins.
@@ -23,14 +25,14 @@ var coreRoundPins = []struct {
 	allocs float64
 	bytes  uint64
 }{
-	{KindMembership, false, 21, 9904},
-	{KindMembership, true, 21, 30304},
+	{KindMembership, false, 11, 9520},
+	{KindMembership, true, 11, 29920},
 	{KindPointLoc, false, 1, 80},
 	{KindPointLoc, true, 1, 20480},
-	{KindInterval, false, 21, 9984},
-	{KindInterval, true, 21, 30304},
-	{KindLinePoly, false, 21, 9904},
-	{KindLinePoly, true, 21, 30304},
+	{KindInterval, false, 11, 9600},
+	{KindInterval, true, 11, 29920},
+	{KindLinePoly, false, 11, 9520},
+	{KindLinePoly, true, 11, 29920},
 	{KindTangent, false, 1, 80},
 	{KindTangent, true, 1, 20480},
 }
@@ -50,9 +52,8 @@ func TestCoreRoundAllocsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One worker slot: how many submesh bodies RunParallel spawns on
-	// goroutines (one allocation each) then does not depend on the
-	// machine's core count.
+	// One worker slot keeps the schedule (which bodies RunParallel spawns)
+	// the same on every machine.
 	m := mesh.New(side, mesh.WithParallelism(1))
 	ins := map[Kind]*core.Instance{}
 	for _, k := range ss.Kinds() {

@@ -11,6 +11,9 @@ import (
 	"repro/internal/mesh"
 )
 
+// int64Key is the order-preserving sort word of a signed test value.
+func int64Key(x int64) uint64 { return uint64(x) ^ 1<<63 }
+
 // tracedWorkload runs a fully-instrumented workload with two levels of
 // nested RunParallel plus a RunSequential, so the span tree exercises every
 // fork/merge path the mesh has.
@@ -21,19 +24,19 @@ func tracedWorkload(m *mesh.Mesh) {
 	func() {
 		defer Span(v, "setup")()
 		mesh.Apply(v, r, func(i int, _ int64) int64 { return int64(i % 13) })
-		mesh.Sort(v, r, func(a, b int64) bool { return a < b })
+		mesh.Sort(v, r, int64Key)
 	}()
 	func() {
 		defer Span(v, "parallel")()
 		v.RunParallel(v.Partition(2, 2), func(idx int, sub mesh.View) {
 			defer Span(sub, "quadrant")()
-			mesh.Sort(sub, r, func(a, b int64) bool { return a < b })
+			mesh.Sort(sub, r, int64Key)
 			sub.RunParallel(sub.Partition(2, 2), func(j int, ss mesh.View) {
 				defer Span(ss, "tile")()
 				mesh.Scan(ss, r, func(a, b int64) int64 { return a + b })
 				if idx == 0 && j == 0 {
 					// Extra work: make one inner tile the critical path.
-					mesh.Sort(ss, r, func(a, b int64) bool { return a < b })
+					mesh.Sort(ss, r, int64Key)
 				}
 			})
 		})
@@ -120,7 +123,7 @@ func TestCriticalPathMergeDiscardsCheapSubmeshSpans(t *testing.T) {
 	v.RunParallel(v.Partition(2, 2), func(idx int, sub mesh.View) {
 		if idx == 1 {
 			defer Span(sub, "expensive")()
-			mesh.Sort(sub, r, func(a, b int64) bool { return a < b })
+			mesh.Sort(sub, r, int64Key)
 		} else {
 			defer Span(sub, "cheap")()
 			sub.Charge(1)
