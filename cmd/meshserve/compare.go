@@ -27,7 +27,7 @@ func runOutageCompare(cfg serve.Config, f workloadFlags) error {
 	base := f
 	base.hedgeCfg = fleet.HedgeConfig{}
 	base.ejectCfg = fleet.EjectConfig{}
-	bt, err := newTarget(cfg, base, f.replicas, f.policy, true)
+	bt, err := newTarget(cfg, base, f.replicas, f.policy)
 	if err != nil {
 		return err
 	}
@@ -51,7 +51,7 @@ func runOutageCompare(cfg serve.Config, f workloadFlags) error {
 	res := f
 	res.hedgeCfg.Enabled = true
 	res.ejectCfg.Enabled = true
-	rt, err := newTarget(cfg, res, f.replicas, f.policy, true)
+	rt, err := newTarget(cfg, res, f.replicas, f.policy)
 	if err != nil {
 		return err
 	}

@@ -1,18 +1,21 @@
 // Command meshserve runs the batched multisearch query service (internal/
 // serve, DESIGN.md §3.5): a long-lived mesh holding a (2,3)-tree dictionary,
 // answering concurrent membership lookups by collecting them into batches
-// and serving each batch with one multisearch round.
+// and serving each batch with one multisearch round. Every server it builds
+// is a fleet (internal/fleet, DESIGN.md §3.8) — by default of one replica —
+// so there is one HTTP surface and one recovery ladder above the instance.
 //
-// Serve mode (default) exposes the HTTP surface and drains gracefully on
-// SIGINT/SIGTERM:
+// Serve mode (default) exposes the fleet's HTTP surface and drains
+// gracefully on SIGINT/SIGTERM:
 //
 //	meshserve -side 16 -batch-linger 2ms -budget 1e6 -addr :8845
 //	curl 'localhost:8845/search?key=7'
 //	curl  localhost:8845/metrics
 //
-// Load-generator mode drives the server in-process with closed-loop clients
-// and prints the throughput table of EXPERIMENTS.md §E20 — queries/round,
-// simulated steps/query, and wall-clock rounds/sec versus client count:
+// Load-generator mode drives a one-replica fleet in-process with closed-loop
+// clients and prints the throughput table of EXPERIMENTS.md §E20 —
+// queries/round, simulated steps/query, and wall-clock rounds/sec versus
+// client count:
 //
 //	meshserve -loadgen -clients 1,4,16,64 -duration 2s -side 16
 //
@@ -37,7 +40,7 @@
 //	meshserve -workload replay -trace-in run.jsonl -side 16
 //	meshserve -workload poisson -rate 256 -saturate -slo-p99 50ms -bench-out BENCH_PR6.json
 //
-// Fleet mode (-replicas N, DESIGN.md §3.8) runs N instances behind a
+// Fleet mode (-replicas N > 1, DESIGN.md §3.8) runs N instances behind a
 // health-aware router (-policy round-robin | least-loaded | health-weighted).
 // A lookup whose replica faults or crashes fails over to a healthy replica
 // before the fleet-level oracle; -chaos-instance kills and restarts replicas
@@ -191,17 +194,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "meshserve: unknown cost model %q\n", *model)
 		os.Exit(2)
 	}
-	var injector *faults.Injector
 	var makeInjector func(i int) mesh.Injector
 	if *chaos != 0 {
 		p := *chaosP
-		injector = faults.New(faults.Config{
-			Seed: *chaos, PSortLie: p, PCorrupt: p, PDrop: p, PDup: p, Limit: *chaosLimit,
-		})
-		cfg.Injector = injector
 		// Fleet replicas must not share one injector (their fault streams
 		// would couple through its state): derive one per instance from the
-		// same seed, each with the full per-instance fault budget.
+		// same seed, each with the full per-instance fault budget. Replica 0
+		// draws from the seed itself.
 		makeInjector = func(i int) mesh.Injector {
 			return faults.New(faults.Config{
 				Seed: *chaos + int64(i)*1_000_003, PSortLie: p, PCorrupt: p, PDrop: p, PDup: p, Limit: *chaosLimit,
@@ -218,8 +217,9 @@ func main() {
 	}
 	cfg.Audit = *audit
 
-	// One observer serves the whole process — instance or fleet — so the SLO
-	// burn gauges measure the same targets the saturation search enforces.
+	// One observer serves the whole process — every replica of the fleet —
+	// so the SLO burn gauges measure the same targets the saturation search
+	// enforces.
 	if *obsOn {
 		oc := obs.Config{Ring: *obsRing, SLOP99: *sloP99, SLOMaxDegraded: *sloDegraded}
 		// Under a kind mix the stage histograms split per kind (the class
@@ -282,7 +282,7 @@ func main() {
 	hedgeCfg := fleet.HedgeConfig{Enabled: *hedge, Delay: *hedgeDelay, P99Multiple: *hedgeP99x}
 	ejectCfg := fleet.EjectConfig{Enabled: *eject, Multiple: *ejectMultiple, ProbeInterval: *ejectProbe}
 	if *loadgen && *replicas > 1 {
-		fmt.Fprintln(os.Stderr, "meshserve: -loadgen drives one instance; use -workload for fleet runs")
+		fmt.Fprintln(os.Stderr, "meshserve: -loadgen drives a one-replica fleet; use -workload for larger fleets")
 		os.Exit(2)
 	}
 	if *target != "" {
@@ -330,22 +330,16 @@ func main() {
 			fmt.Fprintf(os.Stderr, "meshserve: %v\n", err)
 			os.Exit(2)
 		}
-		if err := runLoadgen(cfg, counts, *duration, *seed, *queryDeadline, injector); err != nil {
+		fc := fleetConfig(cfg, 1, *policy, makeInjector, hedgeCfg, ejectCfg)
+		if err := runLoadgen(fc, counts, *duration, *seed, *queryDeadline, *chaos != 0); err != nil {
 			fmt.Fprintf(os.Stderr, "meshserve: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
-	if *replicas > 1 {
-		fc := fleetConfig(cfg, *replicas, *policy, makeInjector, hedgeCfg, ejectCfg)
-		chaos := fleet.ChaosConfig{Seed: *chaosInstance, KillEvery: *chaosKillEvery, Downtime: *chaosDowntime}
-		if err := runServeFleet(fc, *addr, *drain, chaos); err != nil {
-			fmt.Fprintf(os.Stderr, "meshserve: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := runServe(cfg, *addr, *drain, injector); err != nil {
+	fc := fleetConfig(cfg, *replicas, *policy, makeInjector, hedgeCfg, ejectCfg)
+	chaosCfg := fleet.ChaosConfig{Seed: *chaosInstance, KillEvery: *chaosKillEvery, Downtime: *chaosDowntime}
+	if err := runServeFleet(fc, *addr, *drain, chaosCfg); err != nil {
 		fmt.Fprintf(os.Stderr, "meshserve: %v\n", err)
 		os.Exit(1)
 	}
@@ -374,8 +368,8 @@ func fleetConfig(cfg serve.Config, replicas int, policyName string, makeInjector
 	}
 }
 
-// runServeFleet is serve mode for -replicas > 1: the fleet HTTP surface
-// until SIGINT/SIGTERM, then a bounded parallel drain of every replica.
+// runServeFleet is serve mode: the fleet HTTP surface until SIGINT/SIGTERM,
+// then a bounded parallel drain of every replica.
 func runServeFleet(fc fleet.Config, addr string, drain time.Duration, chaos fleet.ChaosConfig) error {
 	f, err := fleet.New(fc)
 	if err != nil {
@@ -416,7 +410,8 @@ func runServeFleet(fc fleet.Config, addr string, drain time.Duration, chaos flee
 	return nil
 }
 
-// printFleetStats reports the routing/failover/chaos counters of a fleet run.
+// printFleetStats reports the routing/failover/chaos counters of a fleet run
+// and, when any of it ran, the instances' recovery ladder (DESIGN.md §3.6).
 func printFleetStats(st fleet.Stats) {
 	fmt.Fprintf(os.Stderr,
 		"meshserve: fleet served %d dispatches (%d failover-served, %d oracle, %d overloaded, %d unrouted), agg %d queries in %d rounds, health %s\n",
@@ -428,6 +423,12 @@ func printFleetStats(st fleet.Stats) {
 			st.Crashes, st.Restarts,
 			st.LastTimeToHealthy.Round(time.Millisecond), st.MaxTimeToHealthy.Round(time.Millisecond))
 	}
+	if a := st.Agg; a.Retries+a.Recovered+a.CircuitOpens+a.CanaryRounds > 0 {
+		fmt.Fprintf(os.Stderr,
+			"meshserve: recovery — %d retries, %d rounds recovered, %d faulted attempts, circuit %d opens/%d closes, canaries %d (%d failed)\n",
+			a.Retries, a.Recovered, a.FaultsAudit+a.FaultsBudget+a.FaultsCanceled+a.FaultsPanic+a.FaultsOther,
+			a.CircuitOpens, a.CircuitCloses, a.CanaryRounds, a.CanaryFails)
+	}
 	if st.Hedges > 0 || st.Ejections > 0 || st.BudgetShed > 0 || st.Agg.BudgetShed > 0 {
 		fmt.Fprintf(os.Stderr,
 			"meshserve: gray-failure — %d hedges (%d won), %d ejections / %d readmissions (%d probes), budget shed %d fleet + %d instance\n",
@@ -436,77 +437,27 @@ func printFleetStats(st fleet.Stats) {
 	}
 }
 
-// runServe is serve mode: HTTP until SIGINT/SIGTERM, then a bounded drain
-// that answers every admitted query before exiting.
-func runServe(cfg serve.Config, addr string, drain time.Duration, injector *faults.Injector) error {
-	s, err := serve.New(cfg)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Addr: addr, Handler: s.Handler()}
-	httpErr := make(chan error, 1)
-	go func() { httpErr <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "meshserve: %dx%d mesh, %d keys, kinds %s, serving on %s (/search /healthz /metrics; SIGINT drains)\n",
-		cfg.Side, cfg.Side, len(s.Tree().Keys), kindNamesOf(s.Kinds()), addr)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case <-ctx.Done():
-	case err := <-httpErr:
-		return fmt.Errorf("http server: %w", err)
-	}
-	stop()
-
-	fmt.Fprintf(os.Stderr, "meshserve: draining (deadline %s)\n", drain)
-	dctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	drainErr := s.Shutdown(dctx)
-	_ = httpSrv.Close()
-	st := s.Stats()
-	fmt.Fprintf(os.Stderr, "meshserve: served %d queries in %d rounds (%d rejected, %d failed), %d simulated steps\n",
-		st.Served, st.Rounds, st.Rejected, st.Failed, st.SimSteps)
-	printRecovery(st, injector)
-	if drainErr != nil {
-		return fmt.Errorf("drain incomplete: %w", drainErr)
-	}
-	return nil
-}
-
-// printRecovery reports the recovery ladder's work (DESIGN.md §3.6) when any
-// of it ran: silent on a fault-free, fully-healthy run.
-func printRecovery(st serve.Stats, injector *faults.Injector) {
-	if st.Retries+st.Recovered+st.Degraded+st.CircuitOpens+st.CanaryRounds == 0 && injector == nil {
-		return
-	}
-	fmt.Fprintf(os.Stderr,
-		"meshserve: recovery — %d retries, %d rounds recovered, %d degraded answers in %d rounds, circuit %d opens/%d closes, canaries %d (%d failed), health %s\n",
-		st.Retries, st.Recovered, st.Degraded, st.DegradedRounds,
-		st.CircuitOpens, st.CircuitCloses, st.CanaryRounds, st.CanaryFails, st.Health)
-	if injector != nil {
-		fmt.Fprintf(os.Stderr, "meshserve: chaos injected %d fault(s)\n", injector.Count())
-	}
-}
-
-// runLoadgen sweeps closed-loop client counts against one long-lived server
-// and prints one throughput row per count from the stats deltas. Overloaded
-// lookups retry under the shared jittered backoff (not a fixed sleep), each
-// query carries its own deadline, and every answer — mesh-served or
-// degraded — is checked against the host oracle.
-func runLoadgen(cfg serve.Config, counts []int, dur time.Duration, seed int64, deadline time.Duration, injector *faults.Injector) error {
-	s, err := serve.New(cfg)
+// runLoadgen sweeps closed-loop client counts against one long-lived
+// one-replica fleet and prints one throughput row per count from the stats
+// deltas. Overloaded lookups retry under the shared jittered backoff (not a
+// fixed sleep), each query carries its own deadline, and every answer —
+// mesh-served or from the fleet oracle — is checked against the host
+// oracle.
+func runLoadgen(fc fleet.Config, counts []int, dur time.Duration, seed int64, deadline time.Duration, chaos bool) error {
+	f, err := fleet.New(fc)
 	if err != nil {
 		return err
 	}
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		_ = s.Shutdown(ctx)
+		_ = f.Shutdown(ctx)
 	}()
-	keys := int64(len(s.Tree().Keys))
+	cfg := fc.Instance
+	keys := int64(len(f.Tree().Keys))
 	fmt.Printf("meshserve loadgen: %dx%d mesh (%s model), %d keys, max batch %d, linger %s, window %s/point\n",
-		cfg.Side, cfg.Side, cfg.Model, keys, s.MaxBatch(), cfg.Linger, dur)
-	if injector != nil {
+		cfg.Side, cfg.Side, cfg.Model, keys, f.MaxBatch(), cfg.Linger, dur)
+	if chaos {
 		fmt.Printf("chaos: audit %v, acceptance = zero oracle mismatches, zero failed queries\n", cfg.Audit)
 	}
 	fmt.Printf("%8s %12s %10s %10s %14s %10s %10s\n",
@@ -514,7 +465,7 @@ func runLoadgen(cfg serve.Config, counts []int, dur time.Duration, seed int64, d
 
 	backoff := serve.Backoff{Base: cfg.RetryBackoff}
 	for _, nc := range counts {
-		before := s.Stats()
+		before := f.Stats()
 		start := time.Now()
 		ctx, cancel := context.WithTimeout(context.Background(), dur)
 		var wg sync.WaitGroup
@@ -539,7 +490,7 @@ func runLoadgen(cfg serve.Config, counts []int, dur time.Duration, seed int64, d
 				overloads := 0
 				for ctx.Err() == nil {
 					needle := rng.Int63n(2 * keys) // ~half hits, half misses
-					res, err := lookupWithDeadline(ctx, s, needle, deadline)
+					res, err := lookupWithDeadline(ctx, f, needle, deadline)
 					switch {
 					case errors.Is(err, serve.ErrOverloaded):
 						if !backoff.Sleep(ctx, overloads) {
@@ -569,7 +520,7 @@ func runLoadgen(cfg serve.Config, counts []int, dur time.Duration, seed int64, d
 					case err != nil:
 						fail(fmt.Errorf("lookup of %d failed: %w", needle, err))
 						return
-					case res.Found != s.Tree().Contains(needle),
+					case res.Found != f.Tree().Contains(needle),
 						res.Found && res.LeafKey != needle:
 						fail(fmt.Errorf("answer for %d disagrees with the host oracle (found=%v leaf=%d)",
 							needle, res.Found, res.LeafKey))
@@ -586,12 +537,14 @@ func runLoadgen(cfg serve.Config, counts []int, dur time.Duration, seed int64, d
 			return fmt.Errorf("at %d clients: %w", nc, failErr)
 		}
 		wall := time.Since(start).Seconds()
-		d := s.Stats()
-		served := d.Served - before.Served
-		rounds := d.Rounds - before.Rounds
-		steps := d.SimSteps - before.SimSteps
-		rejected := d.Rejected - before.Rejected
-		degraded := d.Degraded - before.Degraded
+		d := f.Stats()
+		// Answers are the replica's mesh-served ones plus the fleet oracle's;
+		// the degraded column counts the latter.
+		degraded := d.OracleServed - before.OracleServed
+		served := d.Agg.Served - before.Agg.Served + degraded
+		rounds := d.Agg.Rounds - before.Agg.Rounds
+		steps := d.Agg.SimSteps - before.Agg.SimSteps
+		rejected := d.Agg.Rejected - before.Agg.Rejected
 		qPerRound, stepsPerQuery := 0.0, 0.0
 		if rounds > 0 {
 			qPerRound = float64(served) / float64(rounds)
@@ -602,19 +555,19 @@ func runLoadgen(cfg serve.Config, counts []int, dur time.Duration, seed int64, d
 		fmt.Printf("%8d %12.0f %10.1f %10.1f %14.0f %10d %10d\n",
 			nc, float64(served)/wall, float64(rounds)/wall, qPerRound, stepsPerQuery, rejected, degraded)
 	}
-	printRecovery(s.Stats(), injector)
+	printFleetStats(f.Stats())
 	return nil
 }
 
 // lookupWithDeadline bounds one lookup by the per-query deadline (0 = none)
 // on top of the sweep context.
-func lookupWithDeadline(ctx context.Context, s *serve.Server, needle int64, deadline time.Duration) (serve.Result, error) {
+func lookupWithDeadline(ctx context.Context, f *fleet.Fleet, needle int64, deadline time.Duration) (fleet.Result, error) {
 	if deadline <= 0 {
-		return s.Lookup(ctx, needle)
+		return f.Lookup(ctx, needle)
 	}
 	qctx, cancel := context.WithTimeout(ctx, deadline)
 	defer cancel()
-	return s.Lookup(qctx, needle)
+	return f.Lookup(qctx, needle)
 }
 
 // kindNamesOf renders a served-kind list for banners.

@@ -70,65 +70,33 @@ type workloadFlags struct {
 	ejectCfg          fleet.EjectConfig
 }
 
-// wlTarget is what the harness drives: a single in-process instance, an
-// in-process fleet, or a remote meshserve over HTTP. The harness itself is
-// target-agnostic — arrival plans, SLO accounting, record/replay and the
-// saturation search all run against this seam.
+// wlTarget is what the harness drives: an in-process fleet or a remote
+// meshserve over HTTP. The harness itself is target-agnostic — arrival
+// plans, SLO accounting, record/replay and the saturation search all run
+// against this seam.
 type wlTarget struct {
-	desc     string
-	side     int
-	keys     int
-	server   *serve.Server // single in-process instance (nil otherwise)
-	fleet    *fleet.Fleet  // in-process fleet (nil otherwise)
-	lookup   func(ctx context.Context, needle int64) (serve.Result, error)
-	stats    func() serve.Stats
-	stages   func() obs.StageSnapshot // nil when the target has no observer
-	contains func(int64) bool
-	close    func()
+	desc   string
+	side   int
+	keys   int
+	fleet  *fleet.Fleet // in-process fleet (nil for a remote target)
+	stats  func() serve.Stats
+	stages func() obs.StageSnapshot // nil when the target has no observer
+	close  func()
 
 	// Kind-typed seams: dispatch, the needle→typed-arguments mapping the
-	// generator uses, and the per-kind host-oracle answer check. lookupKind
-	// is nil for a single in-process instance (the runner then calls
-	// Server.LookupKind directly).
+	// generator uses, and the per-kind host-oracle answer check.
 	lookupKind func(ctx context.Context, kind serve.Kind, args serve.Args) (serve.Result, error)
 	argsFor    func(serve.Kind, int64) serve.Args
 	check      func(serve.Kind, serve.Args, serve.Result) bool
 }
 
-// newTarget builds the workload target from the flag set. forceFleet makes
-// a 1-replica run go through the fleet path anyway (the sweep compares
-// fleet sizes, so even its n=1 point must pay the router).
-func newTarget(cfg serve.Config, f workloadFlags, replicas int, policyName string, forceFleet bool) (*wlTarget, error) {
+// newTarget builds the workload target from the flag set: the remote server
+// of -target, else an in-process fleet of the given size.
+func newTarget(cfg serve.Config, f workloadFlags, replicas int, policyName string) (*wlTarget, error) {
 	if f.target != "" {
 		return newRemoteTarget(f)
 	}
-	if replicas > 1 || forceFleet {
-		return newFleetTarget(cfg, f, replicas, policyName)
-	}
-	s, err := serve.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ss := s.Structures()
-	t := &wlTarget{
-		desc: fmt.Sprintf("%dx%d mesh (%s model), %d keys, kinds %s",
-			cfg.Side, cfg.Side, cfg.Model, len(s.Tree().Keys), kindNamesOf(s.Kinds())),
-		side:     cfg.Side,
-		keys:     len(s.Tree().Keys),
-		server:   s,
-		contains: s.Tree().Contains,
-		argsFor:  loadgen.StructureArgs(ss),
-		check:    loadgen.StructureChecker(ss),
-		close: func() {
-			ctx, cancel := context30s()
-			defer cancel()
-			_ = s.Shutdown(ctx)
-		},
-	}
-	if o := s.Observer(); o != nil {
-		t.stages = o.Stages
-	}
-	return t, nil
+	return newFleetTarget(cfg, f, replicas, policyName)
 }
 
 // newFleetTarget builds an in-process fleet target, arming the instance
@@ -152,18 +120,13 @@ func newFleetTarget(cfg serve.Config, f workloadFlags, replicas int, policyName 
 		side:  cfg.Side,
 		keys:  len(fl.Tree().Keys),
 		fleet: fl,
-		lookup: func(ctx context.Context, needle int64) (serve.Result, error) {
-			res, err := fl.Lookup(ctx, needle)
-			return res.Result, err
-		},
 		lookupKind: func(ctx context.Context, kind serve.Kind, args serve.Args) (serve.Result, error) {
 			res, err := fl.LookupKind(ctx, kind, args)
 			return res.Result, err
 		},
-		stats:    func() serve.Stats { return fl.Stats().Agg },
-		contains: fl.Tree().Contains,
-		argsFor:  loadgen.StructureArgs(fl.Structures()),
-		check:    loadgen.StructureChecker(fl.Structures()),
+		stats:   func() serve.Stats { return fl.Stats().Agg },
+		argsFor: loadgen.StructureArgs(fl.Structures()),
+		check:   loadgen.StructureChecker(fl.Structures()),
 		close: func() {
 			stopChaos()
 			ctx, cancel := context30s()
@@ -179,8 +142,9 @@ func newFleetTarget(cfg serve.Config, f workloadFlags, replicas int, policyName 
 
 // newRemoteTarget probes the remote server's shape and reconstructs the
 // host oracle from it: meshserve always serves the default key set — the
-// odd integers 1, 3, …, 2k−1 — so membership is decidable without shipping
-// the dictionary over the wire.
+// odd integers 1, 3, …, 2k−1 — and structures are a deterministic function
+// of (side, keys), so every kind's oracle is rebuildable host-side without
+// shipping state over the wire.
 func newRemoteTarget(f workloadFlags) (*wlTarget, error) {
 	t := loadgen.NewHTTPTarget(f.target)
 	// With -obs, every remote lookup carries a client-minted traceparent, so
@@ -192,11 +156,9 @@ func newRemoteTarget(f workloadFlags) (*wlTarget, error) {
 	if err != nil {
 		return nil, fmt.Errorf("probing %s: %w", f.target, err)
 	}
-	// Structures are a deterministic function of (side, keys), so every
-	// kind's oracle — not just membership — is rebuildable host-side without
-	// shipping state over the wire. A remote serving kinds outside the mix
-	// is fine; a remote NOT serving a mixed-in kind answers 400 and the run
-	// fails visibly on the failed-query bar.
+	// A remote serving kinds outside the mix is fine; a remote NOT serving a
+	// mixed-in kind answers 400 and the run fails visibly on the
+	// failed-query bar.
 	ss, err := serve.BuildStructures(side, defaultKeySet(keys), 2, 3, f.kindMix().Kinds())
 	if err != nil {
 		return nil, fmt.Errorf("rebuilding the host oracle for %s: %w", f.target, err)
@@ -205,15 +167,11 @@ func newRemoteTarget(f workloadFlags) (*wlTarget, error) {
 		desc:       fmt.Sprintf("remote %s (%dx%d mesh, %d keys)", t.Base, side, side, keys),
 		side:       side,
 		keys:       keys,
-		lookup:     t.Lookup,
 		lookupKind: t.LookupKind,
 		stats:      t.Stats,
-		contains: func(needle int64) bool {
-			return needle >= 1 && needle < int64(2*keys) && needle%2 == 1
-		},
-		argsFor: loadgen.StructureArgs(ss),
-		check:   loadgen.StructureChecker(ss),
-		close:   func() {},
+		argsFor:    loadgen.StructureArgs(ss),
+		check:      loadgen.StructureChecker(ss),
+		close:      func() {},
 	}, nil
 }
 
@@ -244,8 +202,6 @@ func parseKindsFlag(spec string) (*loadgen.KindMix, error) {
 // runConfig assembles the loadgen run config for this target.
 func (t *wlTarget) runConfig(events []loadgen.TraceEvent, f workloadFlags) loadgen.Config {
 	return loadgen.Config{
-		Server:      t.server,
-		Lookup:      t.lookup,
 		LookupKind:  t.lookupKind,
 		Stats:       t.stats,
 		Stages:      t.stages,
@@ -253,13 +209,12 @@ func (t *wlTarget) runConfig(events []loadgen.TraceEvent, f workloadFlags) loadg
 		Window:      f.window,
 		Deadline:    f.deadline,
 		MaxInFlight: f.maxInFl,
-		Contains:    t.contains,
 		Check:       t.check,
 	}
 }
 
 // runWorkload is the open-loop serving-mode counterpart of runLoadgen: it
-// drives the target — instance, fleet, or remote server — with an arrival
+// drives the target — in-process fleet or remote server — with an arrival
 // process that does not wait for answers, reports per-window SLO metrics,
 // and (optionally) binary-searches the saturation knee. Exit is non-zero on
 // any oracle mismatch, failed query, or replay divergence.
@@ -270,7 +225,7 @@ func runWorkload(cfg serve.Config, f workloadFlags) error {
 	if f.outageCompare {
 		return runOutageCompare(cfg, f)
 	}
-	t, err := newTarget(cfg, f, f.replicas, f.policy, false)
+	t, err := newTarget(cfg, f, f.replicas, f.policy)
 	if err != nil {
 		return err
 	}
@@ -493,7 +448,7 @@ func runSweep(cfg serve.Config, f workloadFlags) error {
 	var entries []sweepEntry
 	for _, pol := range policies {
 		for _, n := range counts {
-			t, err := newTarget(cfg, f, n, pol, true)
+			t, err := newTarget(cfg, f, n, pol)
 			if err != nil {
 				return err
 			}

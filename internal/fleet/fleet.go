@@ -131,7 +131,7 @@ type replica struct {
 	ewmaNS     atomic.Int64
 	latSamples atomic.Int64
 	ejected    atomic.Bool
-	lat        serve.Histogram
+	lat        obs.Histogram
 }
 
 // Fleet is N serve instances behind a router. Safe for concurrent use.
@@ -168,14 +168,14 @@ type Fleet struct {
 	probeOnce   sync.Once
 	lastTTH     atomic.Int64 // ns, most recent crash → healthy
 	maxTTH      atomic.Int64 // ns, worst observed
-	lat         serve.Histogram
-	latFailover serve.Histogram // answered by a non-first pick
-	latOracle   serve.Histogram // answered by the fleet oracle rung
+	lat         obs.Histogram
+	latFailover obs.Histogram // answered by a non-first pick
+	latOracle   obs.Histogram // answered by the fleet oracle rung
 	obs         *obs.Observer
 
 	kindServed [serve.NumKinds]atomic.Int64 // answered lookups per query kind
 	kindOracle [serve.NumKinds]atomic.Int64 // fleet-oracle answers per query kind
-	kindLat    [serve.NumKinds]serve.Histogram
+	kindLat    [serve.NumKinds]obs.Histogram
 }
 
 // New builds Replicas instances from the template and starts routing.
@@ -324,7 +324,9 @@ func (f *Fleet) Lookup(ctx context.Context, needle int64) (Result, error) {
 // falls back to that kind's host oracle. Client-context expiry is returned
 // as-is (the client is gone; rerouting would answer nobody). When every
 // routable replica rejected with overload the fleet reports ErrOverloaded:
-// that is backpressure, not failure, and the caller should back off.
+// that is backpressure, not failure, and the caller should back off. When
+// every attempt was refused and at least one because the deadline budget
+// could not cover a round, it reports ErrBudgetExhausted (DESIGN.md §3.11).
 func (f *Fleet) LookupKind(ctx context.Context, kind serve.Kind, args serve.Args) (Result, error) {
 	start := time.Now()
 	if kind >= serve.NumKinds || f.ss.Get(kind) == nil {
@@ -358,7 +360,10 @@ func (f *Fleet) LookupKind(ctx context.Context, kind serve.Kind, args serve.Args
 	var tried uint64
 	var lastErr error
 	attempts, firstIdx := 0, -1
-	overloadedOnly := true
+	// refusedOnly: every attempt so far was turned away without a fault —
+	// admission overload or a deadline-budget shed. shed: at least one was a
+	// budget shed. Neither verdict is the oracle's to overrule.
+	refusedOnly, shed := true, false
 	deadline, hasDeadline := ctx.Deadline()
 	for attempts <= f.maxFailovers {
 		idx := f.pick(tried)
@@ -380,7 +385,7 @@ func (f *Fleet) LookupKind(ctx context.Context, kind serve.Kind, args serve.Args
 		inst := f.instance(idx)
 		if inst == nil {
 			lastErr = ErrNoReplica // crashed between the view and the fetch
-			overloadedOnly = false
+			refusedOnly = false
 			continue
 		}
 		// Failover budget rung (§3.11): re-dispatching to a replica whose
@@ -392,7 +397,7 @@ func (f *Fleet) LookupKind(ctx context.Context, kind serve.Kind, args serve.Args
 		if hasDeadline {
 			if need := inst.ExpectedRoundTime(kind); need > 0 && time.Until(deadline) < need {
 				lastErr = serve.ErrBudgetExhausted
-				overloadedOnly = false
+				shed = true
 				f.budgetShed.Add(1)
 				continue
 			}
@@ -433,13 +438,25 @@ func (f *Fleet) LookupKind(ctx context.Context, kind serve.Kind, args serve.Args
 			return Result{}, err
 		}
 		lastErr = err
-		if !errors.Is(err, serve.ErrOverloaded) {
-			overloadedOnly = false
+		switch {
+		case errors.Is(err, serve.ErrBudgetExhausted):
+			shed = true
+		case !errors.Is(err, serve.ErrOverloaded):
+			refusedOnly = false
 		}
 	}
 
 	switch {
-	case attempts > 0 && overloadedOnly:
+	case attempts > 0 && refusedOnly && shed:
+		// No replica could answer inside the remaining deadline budget: the
+		// work is doomed, so it is shed (504 over HTTP). An instant oracle
+		// answer instead would hide the shed and turn the deadline's last
+		// milliseconds into a stream of Degraded answers.
+		if created {
+			f.obs.Finish(tr, obs.OutcomeError, serve.ErrBudgetExhausted)
+		}
+		return Result{}, serve.ErrBudgetExhausted
+	case attempts > 0 && refusedOnly:
 		// Every routable replica is admission-full: backpressure. The
 		// oracle must not absorb overload — it would turn saturation into
 		// an unbounded degraded-answer pool and hide the knee.
@@ -774,12 +791,12 @@ type Stats struct {
 	LastTimeToHealthy time.Duration `json:"last_time_to_healthy_ns"`
 	MaxTimeToHealthy  time.Duration `json:"max_time_to_healthy_ns"`
 
-	Latency serve.LatencySummary `json:"latency"` // fleet dispatch → answer
+	Latency obs.LatencySummary `json:"latency"` // fleet dispatch → answer
 	// LatencyFailover / LatencyOracle split the dispatch latency by how the
 	// answer was produced (non-first-pick replica vs fleet oracle rung), so
 	// the fleet p99 can be attributed; Latency stays as the combined view.
-	LatencyFailover serve.LatencySummary `json:"latency_failover"`
-	LatencyOracle   serve.LatencySummary `json:"latency_oracle"`
+	LatencyFailover obs.LatencySummary `json:"latency_failover"`
+	LatencyOracle   obs.LatencySummary `json:"latency_oracle"`
 
 	Agg        serve.Stats    `json:"agg"`
 	PerReplica []ReplicaStats `json:"per_replica"`
@@ -790,10 +807,10 @@ type Stats struct {
 // answered lookups of that kind (any rung), how many fell through to the
 // fleet oracle, and the kind's dispatch-to-answer latency.
 type KindRouting struct {
-	Kind         string               `json:"kind"`
-	Served       int64                `json:"served"`
-	OracleServed int64                `json:"oracle_served"`
-	Latency      serve.LatencySummary `json:"latency"`
+	Kind         string             `json:"kind"`
+	Served       int64              `json:"served"`
+	OracleServed int64              `json:"oracle_served"`
+	Latency      obs.LatencySummary `json:"latency"`
 }
 
 // Stats snapshots the fleet: routing and failover counters, per-replica

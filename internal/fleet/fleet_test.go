@@ -57,6 +57,20 @@ func (brokenInjector) CorruptCell(string, int) (int, int, bool) { return 0, 0, f
 func (brokenInjector) DropReply(int) (int, bool)                { return 0, false }
 func (brokenInjector) DuplicateReply(int) (int, int, bool)      { return 0, 0, false }
 
+// gateInjector makes every sort lie while broken is set: a mesh that can be
+// broken and healed on demand.
+type gateInjector struct{ broken atomic.Bool }
+
+func (g *gateInjector) SortLie(_ string, items int) int64 {
+	if g.broken.Load() && items >= 2 {
+		return 1
+	}
+	return 0
+}
+func (g *gateInjector) CorruptCell(string, int) (int, int, bool) { return 0, 0, false }
+func (g *gateInjector) DropReply(int) (int, bool)                { return 0, false }
+func (g *gateInjector) DuplicateReply(int) (int, int, bool)      { return 0, 0, false }
+
 // stallInjector wedges its instance's executor: once armed, the first
 // consultation inside a round blocks until release is closed (injecting no
 // faults), so admission backpressure can be driven deterministically.
@@ -367,6 +381,25 @@ func TestAllOverloadedIsBackpressureNotOracle(t *testing.T) {
 	}
 	if st.OracleServed != 0 {
 		t.Fatalf("oracle absorbed %d overloaded lookups: %+v", st.OracleServed, st)
+	}
+}
+
+// TestBudgetShedIsNotOracle: a lookup whose deadline budget cannot cover
+// any replica's expected round time is shed with ErrBudgetExhausted, not
+// answered instantly by the oracle rung — the deadline's last milliseconds
+// must not turn into a stream of Degraded answers. (The "budget shed" row of
+// TestFleetSearchStatusMapping pins the same shed as a 504 over HTTP.)
+func TestBudgetShedIsNotOracle(t *testing.T) {
+	f := newTestFleet(t, Config{Instance: serve.Config{Side: 8, Linger: 50 * time.Millisecond}})
+	trainRoundTime(t, f)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if res, err := f.Lookup(ctx, 3); !errors.Is(err, serve.ErrBudgetExhausted) {
+		t.Fatalf("doomed lookup: res=%+v err=%v, want ErrBudgetExhausted", res, err)
+	}
+	if st := f.Stats(); st.OracleServed != 0 || st.BudgetShed != 1 {
+		t.Fatalf("budget shed reached the oracle: %+v", st)
 	}
 }
 

@@ -4,36 +4,115 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
-// Handler returns the fleet's HTTP surface — the same contract as one
-// instance's (serve.Instance.Handler), aggregated:
+// StatusClientClosedRequest is nginx's non-standard 499 "client closed
+// request": the client disconnected before the round answered. There is no
+// standard code for it, and 500 would charge a client disconnect to the
+// server's error accounting.
+const StatusClientClosedRequest = 499
+
+// DeadlineBudgetHeader carries the client's remaining deadline budget as a
+// Go duration string (e.g. "250ms"): loadgen.HTTPTarget sets it from its
+// per-query context, the /search handler parses it into a server-side
+// deadline, and every budget rung below — fleet failover, admission,
+// linger, retry ladder — then sees the same budget the client is holding
+// (DESIGN.md §3.11). Without it a remote server cannot shed doomed work:
+// the client's deadline is invisible across the wire.
+const DeadlineBudgetHeader = "X-Deadline-Budget"
+
+// WithDeadlineBudget applies an incoming deadline-budget header to ctx.
+// Absent or malformed headers leave ctx unchanged (the returned cancel is
+// then a no-op but always non-nil, so callers can defer it unconditionally).
+func WithDeadlineBudget(ctx context.Context, r *http.Request) (context.Context, context.CancelFunc) {
+	if v := r.Header.Get(DeadlineBudgetHeader); v != "" {
+		if d, err := time.ParseDuration(v); err == nil && d > 0 {
+			return context.WithTimeout(ctx, d)
+		}
+	}
+	return ctx, func() {}
+}
+
+// RetryAfterSeconds renders a retry hint as a Retry-After header value,
+// clamped up to the header's one-second resolution.
+func RetryAfterSeconds(hint time.Duration) string {
+	secs := int64((hint + time.Second - 1) / time.Second)
+	if secs < 1 {
+		secs = 1
+	}
+	return strconv.FormatInt(secs, 10)
+}
+
+// SearchParams names each kind's /search query parameters, in Args order.
+// It is the wire contract's parameter table: ParseSearchArgs reads it and
+// loadgen.HTTPTarget encodes with it. Read-only.
+var SearchParams = [serve.NumKinds][]string{
+	serve.KindMembership: {"key"},
+	serve.KindPointLoc:   {"x", "y"},
+	serve.KindInterval:   {"lo", "hi"},
+	serve.KindLinePoly:   {"x", "y"},
+	serve.KindTangent:    {"dx", "dy", "dz"},
+}
+
+// ParseSearchArgs extracts one kind's typed arguments from a /search query
+// string.
+func ParseSearchArgs(kind serve.Kind, q url.Values) (serve.Args, error) {
+	var a serve.Args
+	for i, name := range SearchParams[kind] {
+		v, err := strconv.ParseInt(q.Get(name), 10, 64)
+		if err != nil {
+			return a, fmt.Errorf("fleet: /search kind=%s needs an integer ?%s=", kind, name)
+		}
+		a[i] = v
+	}
+	return a, nil
+}
+
+// Handler returns the HTTP surface — the only one: a standalone server is a
+// one-replica fleet.
 //
 //	GET /search?key=K — one lookup through the router and failover ladder;
 //	                    the JSON answer carries the serving replica index
-//	                    (-1 for a fleet-oracle answer). 429 only when every
-//	                    routable replica rejected with overload, 503 after
-//	                    Shutdown; the Retry-After on both is the *least-
-//	                    loaded healthy* replica's estimate — the soonest the
-//	                    fleet could accept work — not whichever instance
-//	                    happened to reject.
+//	                    (-1 for a fleet-oracle answer). ?kind= selects the
+//	                    query family (membership when absent, so pre-kind
+//	                    clients keep working); each kind has its own integer
+//	                    parameters (SearchParams):
+//	                      membership  ?key=K
+//	                      pointloc    ?x=X&y=Y
+//	                      interval    ?lo=L&hi=H
+//	                      linepoly    ?x=X&y=Y
+//	                      tangent     ?dx=DX&dy=DY&dz=DZ
+//	                    400 for an unknown kind, missing/malformed
+//	                    parameters, or a kind the fleet does not serve. 429
+//	                    only when every routable replica rejected with
+//	                    overload, 503 after Shutdown; the Retry-After on both
+//	                    is the *least-loaded healthy* replica's estimate —
+//	                    the soonest the fleet could accept work — not
+//	                    whichever instance happened to reject. 504 means the
+//	                    X-Deadline-Budget ran out before any replica could
+//	                    answer (§3.11); 499/408 are the client's own
+//	                    disconnect/deadline; 500 is a failed round that no
+//	                    rung absorbed (only reachable with DisableOracle).
 //	GET /healthz      — 200 while at least one replica is healthy and not
 //	                    latency-ejected; 503 only when none is (all
 //	                    degraded/crashed/ejected) or the fleet is draining.
 //	                    A single replica loss is the fleet working as
-//	                    designed, not an incident. 504 on /search means the
-//	                    X-Deadline-Budget ran out before any replica could
-//	                    answer (§3.11).
+//	                    designed, not an incident.
 //	GET /metrics      — fleet stats (routing, failover, crash/restart,
 //	                    time-to-healthy), per-replica state, and the summed
-//	                    per-instance serving counters under "serve" so
-//	                    instance-shaped scrapers (loadgen.HTTPTarget) work
-//	                    unchanged against a fleet.
+//	                    per-instance serving counters under "serve" (what
+//	                    loadgen.HTTPTarget scrapes). ?format=prometheus
+//	                    switches to the Prometheus text exposition.
+//	GET /debug/traces — retained wall-clock request traces (requires
+//	                    Config.Obs; see obs.Observer.DebugHandler).
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/search", f.handleSearch)
@@ -49,10 +128,11 @@ func (f *Fleet) Handler() http.Handler {
 	return mux
 }
 
-// traceCtx mirrors the instance handler's traceparent adoption: the fleet
-// trace takes the wire ID (minting one when absent/malformed) and the
-// response echoes it so a loadgen client can correlate its samples with
-// /debug/traces records.
+// traceCtx threads an incoming W3C traceparent into the lookup context —
+// minting a fresh trace ID when the request carries none (or a malformed
+// one, which the spec says to ignore) — so the fleet trace adopts the wire
+// ID and the response echoes it: a loadgen client can correlate its samples
+// with /debug/traces records.
 func (f *Fleet) traceCtx(w http.ResponseWriter, r *http.Request) context.Context {
 	ctx := r.Context()
 	if f.obs == nil {
@@ -73,7 +153,7 @@ func (f *Fleet) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	args, err := serve.ParseSearchArgs(kind, q)
+	args, err := ParseSearchArgs(kind, q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -81,7 +161,7 @@ func (f *Fleet) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// The X-Deadline-Budget header becomes a real context deadline here, so
 	// the whole ladder below — fleet budget rung, instance admission, batch
 	// linger, retries, hedges — sees one consistent remaining budget.
-	ctx, cancel := serve.WithDeadlineBudget(f.traceCtx(w, r), r)
+	ctx, cancel := WithDeadlineBudget(f.traceCtx(w, r), r)
 	defer cancel()
 	res, err := f.LookupKind(ctx, kind, args)
 	switch {
@@ -89,17 +169,17 @@ func (f *Fleet) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	case errors.Is(err, serve.ErrOverloaded):
-		w.Header().Set("Retry-After", serve.RetryAfterSeconds(f.RetryAfterHint()))
+		w.Header().Set("Retry-After", RetryAfterSeconds(f.RetryAfterHint()))
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 		return
 	case errors.Is(err, serve.ErrClosed):
-		w.Header().Set("Retry-After", serve.RetryAfterSeconds(f.RetryAfterHint()))
+		w.Header().Set("Retry-After", RetryAfterSeconds(f.RetryAfterHint()))
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	case errors.Is(err, serve.ErrBudgetExhausted):
-		// Deadline budget below every replica's expected round time: the
-		// fleet shed the work rather than answer past the deadline. 504 —
-		// the server-side deadline verdict — mirrors the instance handler.
+		// Doomed work shed by a budget rung: the client's own deadline was
+		// about to lapse, so 504 (the server gave up on its behalf) rather
+		// than a 5xx that reads as a server fault.
 		http.Error(w, err.Error(), http.StatusGatewayTimeout)
 		return
 	case r.Context().Err() == nil && errors.Is(err, context.DeadlineExceeded):
@@ -108,9 +188,11 @@ func (f *Fleet) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusGatewayTimeout)
 		return
 	case r.Context().Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
-		// Same client-versus-server split as the instance handler: the
-		// request's own context firing is a client outcome, 4xx class.
-		status := serve.StatusClientClosedRequest
+		// The *request's* context fired: the client disconnected (Canceled)
+		// or its per-request deadline lapsed (DeadlineExceeded). That is a
+		// client-side outcome, not a server error — map it to the 4xx class
+		// so disconnect storms don't read as a 500 spike.
+		status := StatusClientClosedRequest
 		if errors.Is(err, context.DeadlineExceeded) {
 			status = http.StatusRequestTimeout
 		}
@@ -139,7 +221,7 @@ func (f *Fleet) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if h != serve.Healthy {
-		w.Header().Set("Retry-After", serve.RetryAfterSeconds(f.RetryAfterHint()))
+		w.Header().Set("Retry-After", RetryAfterSeconds(f.RetryAfterHint()))
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	enc := json.NewEncoder(w)
@@ -170,9 +252,10 @@ func (f *Fleet) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // promMetrics renders the fleet's Prometheus text exposition: routing and
-// failover counters, per-replica gauges, outcome-split dispatch latency, the
-// bucket-exact merge of every live replica's serving histograms, and (with
-// Config.Obs) the shared per-stage decomposition and SLO burn gauges.
+// failover counters, per-replica gauges, the replicas' summed serving
+// counters, outcome-split dispatch latency, the bucket-exact merge of every
+// live replica's serving histograms, and (with Config.Obs) the shared
+// per-stage decomposition and SLO burn gauges.
 func (f *Fleet) promMetrics(w http.ResponseWriter) {
 	st := f.Stats()
 	pw := obs.NewPromWriter()
@@ -214,6 +297,8 @@ func (f *Fleet) promMetrics(w http.ResponseWriter) {
 		pw.Counter("meshfleet_replica_crashes_total", "Crashes of this replica slot.", float64(crashes), "replica", idx)
 	}
 
+	promServeCounters(pw, st.Agg)
+
 	// Per-kind routing: lookups of each query family, how many fell through
 	// to the fleet oracle, and the kind's dispatch latency.
 	for _, kr := range st.ByKind {
@@ -253,6 +338,31 @@ func (f *Fleet) promMetrics(w http.ResponseWriter) {
 	}
 	w.Header().Set("Content-Type", obs.ContentType)
 	_, _ = w.Write(pw.Bytes())
+}
+
+// promServeCounters renders the serving counters of st — in a fleet, the
+// aggregate over every replica incarnation — as the meshserve_* counter
+// families.
+func promServeCounters(pw *obs.PromWriter, st serve.Stats) {
+	pw.Counter("meshserve_lookups_total", "Lookups by admission outcome.", float64(st.Accepted), "result", "accepted")
+	pw.Counter("meshserve_lookups_total", "Lookups by admission outcome.", float64(st.Rejected), "result", "rejected")
+	pw.Counter("meshserve_answers_total", "Answered lookups by serving path.", float64(st.Served-st.Degraded), "path", "mesh")
+	pw.Counter("meshserve_answers_total", "Answered lookups by serving path.", float64(st.Degraded), "path", "oracle")
+	pw.Counter("meshserve_answers_total", "Answered lookups by serving path.", float64(st.Failed), "path", "error")
+	pw.Counter("meshserve_rounds_total", "Serving rounds by kind.", float64(st.Rounds-st.DegradedRounds), "kind", "mesh")
+	pw.Counter("meshserve_rounds_total", "Serving rounds by kind.", float64(st.DegradedRounds), "kind", "degraded")
+	pw.Counter("meshserve_rounds_total", "Serving rounds by kind.", float64(st.CanaryRounds), "kind", "canary")
+	pw.Counter("meshserve_sim_steps_total", "Simulated mesh steps across all rounds.", float64(st.SimSteps))
+	pw.Counter("meshserve_retries_total", "Audited re-executions of failed rounds.", float64(st.Retries))
+	pw.Counter("meshserve_budget_shed_total", "Lookups shed with the deadline budget exhausted.", float64(st.BudgetShed))
+	pw.Counter("meshserve_recovered_rounds_total", "Rounds that failed, then succeeded on a retry.", float64(st.Recovered))
+	pw.Counter("meshserve_faults_total", "Round attempts failed, by fault class.", float64(st.FaultsAudit), "class", "audit")
+	pw.Counter("meshserve_faults_total", "Round attempts failed, by fault class.", float64(st.FaultsBudget), "class", "budget")
+	pw.Counter("meshserve_faults_total", "Round attempts failed, by fault class.", float64(st.FaultsCanceled), "class", "canceled")
+	pw.Counter("meshserve_faults_total", "Round attempts failed, by fault class.", float64(st.FaultsPanic), "class", "panic")
+	pw.Counter("meshserve_faults_total", "Round attempts failed, by fault class.", float64(st.FaultsOther), "class", "other")
+	pw.Counter("meshserve_circuit_transitions_total", "Circuit breaker transitions.", float64(st.CircuitOpens), "to", "open")
+	pw.Counter("meshserve_circuit_transitions_total", "Circuit breaker transitions.", float64(st.CircuitCloses), "to", "closed")
 }
 
 func boolGauge(b bool) float64 {

@@ -10,16 +10,17 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
-// HTTPTarget drives a remote meshserve — one instance or a whole fleet —
-// over its HTTP surface, so the open-loop harness can measure a server it
-// does not share a process (or machine) with. Lookup and Stats satisfy the
-// Config seam; the status→error mapping inverts the /search handler's, so
-// the harness's outcome accounting (rejected vs failed vs answered) means
-// the same thing in-process and over the wire.
+// HTTPTarget drives a remote meshserve over its HTTP surface (the fleet
+// handler), so the open-loop harness can measure a server it does not share
+// a process (or machine) with. LookupKind and Stats satisfy the Config seam;
+// the status→error mapping inverts the /search handler's, so the harness's
+// outcome accounting (rejected vs failed vs answered) means the same thing
+// in-process and over the wire.
 type HTTPTarget struct {
 	Base   string // e.g. http://127.0.0.1:8845, no trailing slash
 	Client *http.Client
@@ -44,15 +45,9 @@ func NewHTTPTarget(base string) *HTTPTarget {
 	}
 }
 
-// Lookup fires one membership /search query — LookupKind with the
-// membership kind, kept for pre-kind callers.
-func (t *HTTPTarget) Lookup(ctx context.Context, needle int64) (serve.Result, error) {
-	return t.LookupKind(ctx, serve.KindMembership, serve.Args{needle})
-}
-
-// searchURL renders the kind-typed /search URL: the per-kind parameter
-// names mirror serve.ParseSearchArgs, and membership keeps the bare
-// ?key= shape so a v1 server can still be driven.
+// searchURL renders the kind-typed /search URL from the handler's own
+// parameter table (fleet.SearchParams); membership keeps the bare ?key=
+// shape so a v1 server can still be driven.
 func searchURL(base string, kind serve.Kind, args serve.Args) string {
 	var b strings.Builder
 	b.WriteString(base)
@@ -62,8 +57,7 @@ func searchURL(base string, kind serve.Kind, args serve.Args) string {
 		b.WriteString(kind.String())
 		b.WriteByte('&')
 	}
-	params := kindQueryParams[kind]
-	for i, name := range params {
+	for i, name := range fleet.SearchParams[kind] {
 		if i > 0 {
 			b.WriteByte('&')
 		}
@@ -72,15 +66,6 @@ func searchURL(base string, kind serve.Kind, args serve.Args) string {
 		b.WriteString(strconv.FormatInt(args[i], 10))
 	}
 	return b.String()
-}
-
-// kindQueryParams mirrors the serve handler's per-kind parameter names.
-var kindQueryParams = [serve.NumKinds][]string{
-	serve.KindMembership: {"key"},
-	serve.KindPointLoc:   {"x", "y"},
-	serve.KindInterval:   {"lo", "hi"},
-	serve.KindLinePoly:   {"x", "y"},
-	serve.KindTangent:    {"dx", "dy", "dz"},
 }
 
 // LookupKind fires one typed /search query. Statuses map back to the
@@ -103,7 +88,7 @@ func (t *HTTPTarget) LookupKind(ctx context.Context, kind serve.Kind, args serve
 	// abandoned anyway, instead of discovering that at response-write time.
 	if dl, ok := ctx.Deadline(); ok {
 		if budget := time.Until(dl); budget > 0 {
-			req.Header.Set(serve.DeadlineBudgetHeader, budget.String())
+			req.Header.Set(fleet.DeadlineBudgetHeader, budget.String())
 		}
 	}
 	resp, err := t.Client.Do(req)
@@ -136,7 +121,7 @@ func (t *HTTPTarget) LookupKind(ctx context.Context, kind serve.Kind, args serve
 	return res, nil
 }
 
-// metricsDoc is the slice of /metrics both an instance and a fleet expose.
+// metricsDoc is the slice of /metrics the harness reads.
 type metricsDoc struct {
 	Serve    serve.Stats `json:"serve"`
 	Side     int         `json:"side"`
@@ -145,8 +130,7 @@ type metricsDoc struct {
 }
 
 // Stats samples the remote serving counters from /metrics (the "serve"
-// document an instance exports directly and a fleet exports as its
-// aggregate). Best-effort: a failed scrape returns zero stats rather than
+// document: the fleet's aggregate over its replicas). Best-effort: a failed scrape returns zero stats rather than
 // failing the run — the harness then reports sim-steps as 0 for that
 // window, which is visible, not silent.
 func (t *HTTPTarget) Stats() serve.Stats {

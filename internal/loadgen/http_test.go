@@ -4,20 +4,32 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/serve"
 )
 
 // TestHTTPTargetDrivesRemoteServer runs the open-loop harness against a real
-// serve.Instance over its HTTP surface: shape probing, the full lookup path,
-// and oracle checking must all work across the wire exactly as in-process.
+// fleet over its HTTP surface: shape probing, the full lookup path, and
+// oracle checking must all work across the wire exactly as in-process.
 func TestHTTPTargetDrivesRemoteServer(t *testing.T) {
-	s := newRunServer(t)
-	srv := httptest.NewServer(s.Handler())
+	f, err := fleet.New(fleet.Config{Instance: serve.Config{Side: 8, Linger: 500 * time.Microsecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		defer cancel()
+		_ = f.Shutdown(ctx)
+	})
+	srv := httptest.NewServer(f.Handler())
 	defer srv.Close()
 	target := NewHTTPTarget(srv.URL)
 
@@ -25,8 +37,8 @@ func TestHTTPTargetDrivesRemoteServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if side != 8 || keys != len(s.Tree().Keys) {
-		t.Fatalf("probe reported %dx%d / %d keys, want 8x8 / %d", side, side, keys, len(s.Tree().Keys))
+	if side != 8 || keys != len(f.Tree().Keys) {
+		t.Fatalf("probe reported %dx%d / %d keys, want 8x8 / %d", side, side, keys, len(f.Tree().Keys))
 	}
 
 	arr, err := Poisson(Schedule{{Rate: 300, Dur: 600 * time.Millisecond}}, 11)
@@ -42,11 +54,11 @@ func TestHTTPTargetDrivesRemoteServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := Run(Config{
-		Lookup:   target.Lookup,
-		Stats:    target.Stats,
-		Events:   events,
-		Window:   200 * time.Millisecond,
-		Contains: s.Tree().Contains,
+		LookupKind: target.LookupKind,
+		Stats:      target.Stats,
+		Events:     events,
+		Window:     200 * time.Millisecond,
+		Check:      StructureChecker(f.Structures()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,20 +89,20 @@ func TestHTTPTargetStatusMapping(t *testing.T) {
 	target := NewHTTPTarget(stub.URL)
 
 	status, body = http.StatusTooManyRequests, "overloaded\n"
-	if _, err := target.Lookup(context.Background(), 1); !errors.Is(err, serve.ErrOverloaded) {
+	if _, err := target.LookupKind(context.Background(), serve.KindMembership, serve.Args{1}); !errors.Is(err, serve.ErrOverloaded) {
 		t.Fatalf("429 mapped to %v, want ErrOverloaded", err)
 	}
 	status, body = http.StatusServiceUnavailable, "draining\n"
-	if _, err := target.Lookup(context.Background(), 1); !errors.Is(err, serve.ErrClosed) {
+	if _, err := target.LookupKind(context.Background(), serve.KindMembership, serve.Args{1}); !errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("503 mapped to %v, want ErrClosed", err)
 	}
 	status, body = http.StatusInternalServerError, "boom\n"
-	if _, err := target.Lookup(context.Background(), 1); err == nil ||
+	if _, err := target.LookupKind(context.Background(), serve.KindMembership, serve.Args{1}); err == nil ||
 		errors.Is(err, serve.ErrOverloaded) || errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("500 mapped to %v, want a generic failure", err)
 	}
 	status, body = http.StatusOK, "{not json"
-	if _, err := target.Lookup(context.Background(), 1); err == nil {
+	if _, err := target.LookupKind(context.Background(), serve.KindMembership, serve.Args{1}); err == nil {
 		t.Fatal("garbage 200 body accepted")
 	}
 
@@ -98,7 +110,7 @@ func TestHTTPTargetStatusMapping(t *testing.T) {
 	// accounting matches in-process runs.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := target.Lookup(ctx, 1); !errors.Is(err, context.Canceled) {
+	if _, err := target.LookupKind(ctx, serve.KindMembership, serve.Args{1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled-context lookup → %v, want context.Canceled", err)
 	}
 
@@ -110,5 +122,39 @@ func TestHTTPTargetStatusMapping(t *testing.T) {
 	}
 	if _, _, err := target.Probe(context.Background()); err == nil {
 		t.Fatal("probe of a shapeless /metrics succeeded")
+	}
+}
+
+// TestSearchURLRoundTrip pins the one wire contract from the client side:
+// for every kind, the URL HTTPTarget sends parses back — through the
+// handler's own ParseKind and fleet.ParseSearchArgs — to the kind and the
+// arguments it encoded, including zero, negatives and the int64 extremes.
+func TestSearchURLRoundTrip(t *testing.T) {
+	values := []int64{0, 1, -1, -7, 42, math.MaxInt64, -math.MaxInt64, math.MinInt64}
+	for k := serve.Kind(0); k < serve.NumKinds; k++ {
+		arity := len(fleet.SearchParams[k])
+		for i := range values {
+			var args serve.Args
+			for j := 0; j < arity; j++ {
+				args[j] = values[(i+j)%len(values)]
+			}
+			raw := searchURL("http://h", k, args)
+			u, err := url.Parse(raw)
+			if err != nil {
+				t.Fatalf("%s: unparsable URL %q: %v", k, raw, err)
+			}
+			if !strings.HasPrefix(raw, "http://h/search?") {
+				t.Fatalf("%s: URL %q does not address /search", k, raw)
+			}
+			q := u.Query()
+			kind, err := serve.ParseKind(q.Get("kind"))
+			if err != nil || kind != k {
+				t.Fatalf("%q parsed back to kind %v (err %v), want %s", raw, kind, err, k)
+			}
+			got, err := fleet.ParseSearchArgs(kind, q)
+			if err != nil || got != args {
+				t.Fatalf("%q parsed back to %v (err %v), want %v", raw, got, err, args)
+			}
+		}
 	}
 }

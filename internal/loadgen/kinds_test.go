@@ -278,7 +278,7 @@ func TestRunMixedKindsChaosZeroWrong(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := Run(Config{
-		Server: s, Events: events, Window: 200 * time.Millisecond,
+		LookupKind: s.LookupKind, Stats: s.Stats, Events: events, Window: 200 * time.Millisecond,
 		Check: StructureChecker(s.Structures()),
 	})
 	if err != nil {

@@ -43,20 +43,12 @@ func Generate(a *Arrivals, k KeyDraw, max int) ([]TraceEvent, error) {
 
 // Config drives one open-loop run.
 type Config struct {
-	// Server is the in-process target, already serving. Optional when
-	// Lookup is set instead.
-	Server *serve.Server
-	// LookupKind is the pluggable target seam: one typed query against
-	// whatever is being driven — an in-process instance, a fleet, or a
-	// remote server over HTTP (HTTPTarget). Ignored when Server is set.
+	// LookupKind is the target: one typed query against whatever is being
+	// driven — an in-process fleet (fleet.Fleet.LookupKind) or a remote
+	// server over HTTP (HTTPTarget.LookupKind).
 	LookupKind func(ctx context.Context, kind serve.Kind, args serve.Args) (serve.Result, error)
-	// Lookup is the membership-only seam kept for pre-kind targets; a plan
-	// containing any other kind needs LookupKind (or Server). Ignored when
-	// Server or LookupKind is set.
-	Lookup func(ctx context.Context, needle int64) (serve.Result, error)
 	// Stats samples the target's serving counters at window boundaries for
-	// the per-window sim-steps gauge. Optional with Lookup (a remote target
-	// may not expose counters); derived from Server when it is set.
+	// the per-window sim-steps gauge. Optional (nil reports sim-steps as 0).
 	Stats func() serve.Stats
 	// Events is the materialized arrival plan (Generate or a replayed
 	// trace). Run fills each event's answer fields in place.
@@ -77,11 +69,8 @@ type Config struct {
 	Stages func() obs.StageSnapshot
 	// Check is the per-kind answer check (true = the answer matches the
 	// host oracle); StructureChecker builds one from a serve.StructureSet.
-	// Nil falls back to Contains for membership events.
+	// Nil disables checks.
 	Check func(kind serve.Kind, args serve.Args, res serve.Result) bool
-	// Contains is the membership-only host oracle kept for pre-kind
-	// callers; nil (with nil Check) disables checks.
-	Contains func(int64) bool
 }
 
 // Outcome classifies one arrival's fate.
@@ -112,7 +101,7 @@ var outcomeNames = [...]string{
 
 // WindowStats aggregates one reporting window (and, for Total, the whole
 // run). Quantiles come from the shared fixed-boundary histogram
-// (serve.Histogram); offered is by arrival time, so a query is attributed
+// (obs.Histogram); offered is by arrival time, so a query is attributed
 // to the window that offered it even if it completed later.
 type WindowStats struct {
 	Start      time.Duration `json:"start_ns"`
@@ -166,40 +155,13 @@ type Report struct {
 }
 
 func (cfg Config) check() error {
-	if cfg.Server == nil && cfg.LookupKind == nil && cfg.Lookup == nil {
-		return fmt.Errorf("loadgen: Config needs a target (Server, LookupKind, or Lookup)")
+	if cfg.LookupKind == nil {
+		return fmt.Errorf("loadgen: Config needs a target (LookupKind)")
 	}
 	if len(cfg.Events) == 0 {
 		return fmt.Errorf("loadgen: no events to run")
 	}
-	if cfg.Server == nil && cfg.LookupKind == nil {
-		for i := range cfg.Events {
-			if cfg.Events[i].Kind != serve.KindMembership {
-				return fmt.Errorf("loadgen: event %d is kind %s but the target only supports membership (set LookupKind)",
-					i, cfg.Events[i].Kind)
-			}
-		}
-	}
 	return nil
-}
-
-// target resolves the pluggable seam: the kind-typed lookup function and a
-// stats sampler (zero-valued when the target exposes none — per-window
-// sim-steps then report 0, everything else still works).
-func (cfg Config) target() (func(context.Context, serve.Kind, serve.Args) (serve.Result, error), func() serve.Stats) {
-	lookup, stats := cfg.LookupKind, cfg.Stats
-	if cfg.Server != nil {
-		lookup, stats = cfg.Server.LookupKind, cfg.Server.Stats
-	} else if lookup == nil {
-		plain := cfg.Lookup
-		lookup = func(ctx context.Context, _ serve.Kind, args serve.Args) (serve.Result, error) {
-			return plain(ctx, args[0])
-		}
-	}
-	if stats == nil {
-		stats = func() serve.Stats { return serve.Stats{} }
-	}
-	return lookup, stats
 }
 
 // Run plays the arrival plan against the server: open loop, each arrival
@@ -224,7 +186,10 @@ func Run(cfg Config) (*Report, error) {
 		maxInFlight = 4096
 	}
 
-	lookup, stats := cfg.target()
+	stats := cfg.Stats
+	if stats == nil {
+		stats = func() serve.Stats { return serve.Stats{} }
+	}
 	events := cfg.Events
 	outcomes := make([]outcome, len(events))
 	sem := make(chan struct{}, maxInFlight)
@@ -287,7 +252,7 @@ func Run(cfg Config) (*Report, error) {
 				args = serve.Args{ev.Needle}
 			}
 			qstart := time.Now()
-			res, err := lookup(qctx, ev.Kind, args)
+			res, err := cfg.LookupKind(qctx, ev.Kind, args)
 			o.latNS = time.Since(qstart).Nanoseconds()
 			switch {
 			case errors.Is(err, serve.ErrOverloaded):
@@ -303,11 +268,8 @@ func Run(cfg Config) (*Report, error) {
 				ev.OK, ev.Found, ev.Steps = true, res.Found, res.Steps
 				ev.Leaf, ev.Value, ev.Aux = res.LeafKey, res.Value, res.Aux
 				o.pathLen = res.Steps
-				switch {
-				case cfg.Check != nil:
+				if cfg.Check != nil {
 					o.mismatch = !cfg.Check(ev.Kind, args, res)
-				case cfg.Contains != nil && ev.Kind == serve.KindMembership:
-					o.mismatch = res.Found != cfg.Contains(ev.Needle) || (res.Found && res.LeafKey != ev.Needle)
 				}
 				if res.Degraded {
 					o.status = outcomeDegraded
@@ -330,14 +292,14 @@ func Run(cfg Config) (*Report, error) {
 func buildReport(events []TraceEvent, outcomes []outcome, samples []serve.Stats, stageSamples []obs.StageSnapshot, window time.Duration, wall time.Duration) *Report {
 	lastAt := time.Duration(events[len(events)-1].AtNS)
 	numWindows := int(lastAt/window) + 1
-	hists := make([]*serve.Histogram, numWindows)
-	var totalHist serve.Histogram
+	hists := make([]*obs.Histogram, numWindows)
+	var totalHist obs.Histogram
 	wins := make([]WindowStats, numWindows)
 	var total WindowStats
 	var totalPath int64
 	winPath := make([]int64, numWindows)
 	kinds := make(map[string]*WindowStats)
-	kindHists := make(map[string]*serve.Histogram)
+	kindHists := make(map[string]*obs.Histogram)
 	kindPath := make(map[string]int64)
 	for i := range events {
 		ev := &events[i]
@@ -350,7 +312,7 @@ func buildReport(events []TraceEvent, outcomes []outcome, samples []serve.Stats,
 		if ks == nil {
 			ks = &WindowStats{}
 			kinds[kname] = ks
-			kindHists[kname] = &serve.Histogram{}
+			kindHists[kname] = &obs.Histogram{}
 		}
 		ws.Offered++
 		total.Offered++
@@ -366,7 +328,7 @@ func buildReport(events []TraceEvent, outcomes []outcome, samples []serve.Stats,
 				ks.Degraded++
 			}
 			if hists[w] == nil {
-				hists[w] = &serve.Histogram{}
+				hists[w] = &obs.Histogram{}
 			}
 			hists[w].Observe(time.Duration(o.latNS))
 			totalHist.Observe(time.Duration(o.latNS))
@@ -479,7 +441,7 @@ func stageBreakdown(lo, hi obs.StageSnapshot, answered int64) map[string]float64
 	return out
 }
 
-func fillQuantiles(ws *WindowStats, snap serve.HistSnapshot) {
+func fillQuantiles(ws *WindowStats, snap obs.HistSnapshot) {
 	ws.P50 = snap.Quantile(0.50)
 	ws.P95 = snap.Quantile(0.95)
 	ws.P99 = snap.Quantile(0.99)

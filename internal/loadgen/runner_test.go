@@ -8,7 +8,7 @@ import (
 	"repro/internal/serve"
 )
 
-func newRunServer(t *testing.T) *serve.Server {
+func newRunServer(t *testing.T) *serve.Instance {
 	t.Helper()
 	s, err := serve.New(serve.Config{Side: 8, Linger: 500 * time.Microsecond})
 	if err != nil {
@@ -42,7 +42,7 @@ func TestRunRecordReplayIdenticalAnswers(t *testing.T) {
 	}
 
 	s1 := newRunServer(t)
-	rep1, err := Run(Config{Server: s1, Events: events, Window: 200 * time.Millisecond, Contains: s1.Tree().Contains})
+	rep1, err := Run(Config{LookupKind: s1.LookupKind, Stats: s1.Stats, Events: events, Window: 200 * time.Millisecond, Check: StructureChecker(s1.Structures())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestRunRecordReplayIdenticalAnswers(t *testing.T) {
 
 	replayEvents := StripAnswers(events)
 	s2 := newRunServer(t)
-	rep2, err := Run(Config{Server: s2, Events: replayEvents, Window: 200 * time.Millisecond, Contains: s2.Tree().Contains})
+	rep2, err := Run(Config{LookupKind: s2.LookupKind, Stats: s2.Stats, Events: replayEvents, Window: 200 * time.Millisecond, Check: StructureChecker(s2.Structures())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRunWindowAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newRunServer(t)
-	rep, err := Run(Config{Server: s, Events: events, Window: 300 * time.Millisecond, Contains: s.Tree().Contains})
+	rep, err := Run(Config{LookupKind: s.LookupKind, Stats: s.Stats, Events: events, Window: 300 * time.Millisecond, Check: StructureChecker(s.Structures())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestGenerateBounds(t *testing.T) {
 	if err := (Config{}).check(); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	if _, err := Run(Config{Server: nil, Events: []TraceEvent{{}}}); err == nil {
-		t.Fatal("nil server accepted")
+	if _, err := Run(Config{Events: []TraceEvent{{}}}); err == nil {
+		t.Fatal("config without a target accepted")
 	}
 }

@@ -14,7 +14,8 @@
 //     dictionary's needle domain.
 //   - Generate → []TraceEvent: a materialized, replayable arrival plan;
 //     WriteTrace/ReadTrace round-trip it (with answers) through JSONL.
-//   - Run: drives serve.Server in-process, reporting per-window percentiles
+//   - Run: drives a target (an in-process fleet, or HTTPTarget for a remote
+//     server) through Config.LookupKind, reporting per-window percentiles
 //     (fixed-boundary histogram — no per-query allocation on the hot path),
 //     offered vs achieved qps, steps/query, rejected/degraded fractions.
 //   - Saturate: binary-searches the max sustainable rate under an SLO

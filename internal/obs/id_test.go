@@ -2,6 +2,7 @@ package obs
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -20,6 +21,33 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		if got != id {
 			t.Fatalf("round trip: %s → %q → %s", id, h, got)
 		}
+	}
+}
+
+// TestNewTraceIDConcurrentFirstUse mints a fresh generator's first IDs from
+// several goroutines at once, as a server's first concurrent requests do:
+// under -race the seeding must be ordered before every read of it, and the
+// IDs must still be unique.
+func TestNewTraceIDConcurrentFirstUse(t *testing.T) {
+	idState.once = sync.Once{} // an unseeded generator
+	const n = 8
+	ids := make(chan TraceID, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ids <- NewTraceID()
+		}()
+	}
+	wg.Wait()
+	close(ids)
+	seen := make(map[TraceID]bool, n)
+	for id := range ids {
+		if id.IsZero() || seen[id] {
+			t.Fatalf("concurrent first mints produced zero or duplicate ID %s", id)
+		}
+		seen[id] = true
 	}
 }
 

@@ -5,9 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http/httptest"
-	"net/url"
 	"sync"
 	"testing"
 	"time"
@@ -291,112 +288,5 @@ func TestMixedKindsZeroWrongUnderChaos(t *testing.T) {
 	}
 	if inj.Count() == 0 {
 		t.Fatal("chaos injected no faults; the test exercised nothing")
-	}
-}
-
-func TestParseSearchArgsPerKind(t *testing.T) {
-	cases := []struct {
-		kind  Kind
-		query string
-		want  Args
-	}{
-		{KindMembership, "key=7", Args{7}},
-		{KindPointLoc, "x=3&y=-4", Args{3, -4}},
-		{KindInterval, "lo=2&hi=9", Args{2, 9}},
-		{KindLinePoly, "x=1&y=2", Args{1, 2}},
-		{KindTangent, "dx=1&dy=0&dz=-5", Args{1, 0, -5}},
-	}
-	for _, c := range cases {
-		q, _ := url.ParseQuery(c.query)
-		got, err := ParseSearchArgs(c.kind, q)
-		if err != nil || got != c.want {
-			t.Errorf("ParseSearchArgs(%s, %q) = %v, %v; want %v", c.kind, c.query, got, err, c.want)
-		}
-	}
-	// Missing and malformed parameters are rejected.
-	for _, bad := range []struct {
-		kind  Kind
-		query string
-	}{
-		{KindPointLoc, "x=3"},
-		{KindTangent, "dx=1&dy=2"},
-		{KindMembership, "key=notanumber"},
-	} {
-		q, _ := url.ParseQuery(bad.query)
-		if _, err := ParseSearchArgs(bad.kind, q); err == nil {
-			t.Errorf("ParseSearchArgs(%s, %q) did not error", bad.kind, bad.query)
-		}
-	}
-}
-
-// TestHTTPSearchKinds drives every family through the HTTP surface: typed
-// kind= queries answer 200 with a kind-tagged body, unknown kinds and
-// unserved kinds answer 400, and the bare v1 ?key= shape still works.
-func TestHTTPSearchKinds(t *testing.T) {
-	s := newTestServer(t, Config{Side: 8, Linger: 200 * time.Microsecond, Kinds: allExtraKinds})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	ss := s.Structures()
-
-	get := func(path string) (int, []byte) {
-		t.Helper()
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, body
-	}
-
-	for _, k := range s.Kinds() {
-		st := ss.Get(k)
-		args := st.ArgsFor(5)
-		params := url.Values{}
-		params.Set("kind", k.String())
-		for i, name := range kindParams[k] {
-			params.Set(name, fmt.Sprint(args[i]))
-		}
-		code, body := get("/search?" + params.Encode())
-		if code != 200 {
-			t.Fatalf("GET /search?%s → %d: %s", params.Encode(), code, body)
-		}
-		var res Result
-		if err := json.Unmarshal(body, &res); err != nil {
-			t.Fatalf("%s: bad body %s: %v", k, body, err)
-		}
-		want := HostAnswer(st, args)
-		if res.Kind != k || res.Found != want.Found || res.Value != want.Value {
-			t.Fatalf("%s %v over HTTP: got kind=%s found=%v value=%d, want kind=%s found=%v value=%d",
-				k, args, res.Kind, res.Found, res.Value, k, want.Found, want.Value)
-		}
-	}
-
-	// v1 shape: bare ?key= is a membership query.
-	if code, body := get("/search?key=7"); code != 200 {
-		t.Fatalf("GET /search?key=7 → %d: %s", code, body)
-	}
-	// Unknown kind and malformed args are client errors.
-	if code, _ := get("/search?kind=bogus&key=7"); code != 400 {
-		t.Fatalf("unknown kind → %d, want 400", code)
-	}
-	if code, _ := get("/search?kind=pointloc&x=1"); code != 400 {
-		t.Fatalf("missing param → %d, want 400", code)
-	}
-}
-
-// TestHTTPSearchKindNotServed hits a membership-only server with a typed kind.
-func TestHTTPSearchKindNotServed(t *testing.T) {
-	s := newTestServer(t, Config{Side: 8})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/search?kind=pointloc&x=1&y=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Fatalf("unserved kind → %d, want 400", resp.StatusCode)
 	}
 }

@@ -25,9 +25,10 @@
 // jittered backoff, and — if the mesh keeps failing — the batch is answered
 // by the kind's host-side oracle descent, flagged Degraded. A sliding-window
 // circuit breaker drives a health state machine (healthy → degraded →
-// lame-duck) exposed on /healthz; an open circuit routes batches straight
-// to the oracle while periodic audited canary rounds probe the mesh across
-// every enabled kind and close the circuit on success.
+// lame-duck) that the fleet's router and /healthz read; an open circuit
+// routes batches straight to the oracle while periodic audited canary
+// rounds probe the mesh across every enabled kind and close the circuit on
+// success.
 package serve
 
 import (
@@ -72,7 +73,7 @@ var ErrKindNotServed = errors.New("serve: kind not served by this instance")
 // the deadline) and the HTTP surface maps it to 504.
 var ErrBudgetExhausted = errors.New("serve: deadline budget exhausted before a round could answer")
 
-// Config configures a Server. The zero value of every field has a usable
+// Config configures an Instance. The zero value of every field has a usable
 // default except Side, which must be a positive power of two.
 type Config struct {
 	// Side is the mesh side length √n; required, power of two.
@@ -109,8 +110,7 @@ type Config struct {
 	KindBudgets map[Kind]int64
 	// Tracer, when set, records one traced run per round — including every
 	// retry re-execution and canary probe, each tagged in its run label
-	// (retention is bounded by RetainRuns) — and feeds the /metrics live
-	// snapshot.
+	// (retention is bounded by RetainRuns).
 	Tracer *trace.Tracer
 	// RetainRuns bounds the tracer's retained runs (default 64).
 	RetainRuns int
@@ -193,12 +193,12 @@ type Result struct {
 
 // KindStats is the per-kind slice of the serving counters.
 type KindStats struct {
-	Kind     string         `json:"kind"`
-	Served   int64          `json:"served"`
-	Degraded int64          `json:"degraded"`
-	Rounds   int64          `json:"rounds"`
-	SimSteps int64          `json:"sim_steps"`
-	Latency  LatencySummary `json:"latency"`
+	Kind     string             `json:"kind"`
+	Served   int64              `json:"served"`
+	Degraded int64              `json:"degraded"`
+	Rounds   int64              `json:"rounds"`
+	SimSteps int64              `json:"sim_steps"`
+	Latency  obs.LatencySummary `json:"latency"`
 }
 
 // Stats is a point-in-time snapshot of the serving counters. Served counts
@@ -239,13 +239,13 @@ type Stats struct {
 	// Latency summarizes the answered-lookup latency histogram (admission to
 	// response, mesh-served and degraded alike) so /metrics exposes serving
 	// percentiles without any per-query allocation on the hot path.
-	Latency LatencySummary `json:"latency"`
+	Latency obs.LatencySummary `json:"latency"`
 	// LatencyMesh / LatencyDegraded split the answered-lookup latency by
 	// outcome, so the oracle fast path (no simulated round) cannot pollute
 	// the mesh-served p99 or vice versa. Latency stays as the combined view
 	// for continuity with PR 6 dashboards.
-	LatencyMesh     LatencySummary `json:"latency_mesh"`
-	LatencyDegraded LatencySummary `json:"latency_degraded"`
+	LatencyMesh     obs.LatencySummary `json:"latency_mesh"`
+	LatencyDegraded obs.LatencySummary `json:"latency_degraded"`
 
 	// Kinds splits the served/degraded/round counters and latency by query
 	// kind, in enabled-kind order (DESIGN.md §3.10).
@@ -284,7 +284,7 @@ type kindRuntime struct {
 	maxBatch int // requests per round: Config.MaxBatch / PerRequest
 
 	rounds, served, degraded, simSteps atomic.Int64
-	lat                                Histogram
+	lat                                obs.Histogram
 	// stepsEWMA tracks recent mesh steps per round of this kind (EWMA ×256
 	// fixed-point), the steps half of the expected-round-time product.
 	stepsEWMA atomic.Int64
@@ -326,9 +326,9 @@ type Instance struct {
 	// an EWMA over mesh rounds. With the kind's step budget (Theorem 2's
 	// O(√n) bound) it predicts round latency: expected ≈ steps × ns/step.
 	nsPerStep   atomic.Uint64
-	lat         Histogram // answered-lookup latency, admission → response
-	latMesh     Histogram // mesh-answered subset
-	latDegraded Histogram // oracle-answered subset
+	lat         obs.Histogram // answered-lookup latency, admission → response
+	latMesh     obs.Histogram // mesh-answered subset
+	latDegraded obs.Histogram // oracle-answered subset
 	obs         *obs.Observer
 
 	// Recovery state (DESIGN.md §3.6). maxRetries/backoff/canaryEvery are
@@ -351,11 +351,6 @@ type Instance struct {
 	canaryRounds, canaryFailures atomic.Int64
 	faults                       [core.FaultOther + 1]atomic.Int64
 }
-
-// Server is the historical name for a standalone Instance: one mesh, one
-// structure set, one recovery ladder. A fleet is N Instances behind a
-// router (internal/fleet); a Server is the degenerate one-replica fleet.
-type Server = Instance
 
 // New builds the enabled kinds' structures, loads them onto a fresh mesh,
 // and starts the serving loop. The returned instance answers Lookups until
@@ -751,27 +746,15 @@ func lookupOutcome(r response) obs.Outcome {
 	}
 }
 
-// LatencySnapshot exposes the raw latency histogram (the load generator and
-// tests compute their own quantiles; /metrics uses the Stats summary).
-func (s *Instance) LatencySnapshot() HistSnapshot { return s.lat.Snapshot() }
+// LatencySnapshot exposes the raw latency histogram, which the fleet merges
+// bucket-exact across replicas for its Prometheus exposition.
+func (s *Instance) LatencySnapshot() obs.HistSnapshot { return s.lat.Snapshot() }
 
 // LatencyByOutcome exposes the outcome-split latency histograms (mesh- vs
-// oracle-answered), for the Prometheus exposition and the fleet aggregator.
-func (s *Instance) LatencyByOutcome() (mesh, degraded HistSnapshot) {
+// oracle-answered), merged by the fleet like LatencySnapshot.
+func (s *Instance) LatencyByOutcome() (mesh, degraded obs.HistSnapshot) {
 	return s.latMesh.Snapshot(), s.latDegraded.Snapshot()
 }
-
-// LatencyByKind exposes one kind's answered-lookup latency histogram (zero
-// snapshot for kinds not served).
-func (s *Instance) LatencyByKind(k Kind) HistSnapshot {
-	if k >= NumKinds || s.kr[k] == nil {
-		return HistSnapshot{}
-	}
-	return s.kr[k].lat.Snapshot()
-}
-
-// Observer exposes the installed observability hub (nil when disabled).
-func (s *Instance) Observer() *obs.Observer { return s.obs }
 
 // collect is one kind's admission stage: it blocks for a round's first
 // query, then fills the batch until the kind's batch cap or the linger

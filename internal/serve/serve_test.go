@@ -3,19 +3,17 @@ package serve
 import (
 	"context"
 	"errors"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/mesh"
-	"repro/internal/trace"
 )
 
-// newTestServer builds a small server; the default dictionary (odd keys) is
-// used so Contains gives a trivial oracle.
-func newTestServer(t *testing.T, cfg Config) *Server {
+// newTestServer builds a small instance; the default dictionary (odd keys)
+// is used so Contains gives a trivial oracle.
+func newTestServer(t *testing.T, cfg Config) *Instance {
 	t.Helper()
 	if cfg.Side == 0 {
 		cfg.Side = 8
@@ -301,38 +299,6 @@ func TestExpiredDrainCancelsInFlight(t *testing.T) {
 		}
 	}
 	t.Logf("%d of %d lookups cancelled, rest served before the abort", canceled, n)
-}
-
-// TestHTTPSurface exercises /search and /metrics end to end, including the
-// typed error mapping and the clamped headroom.
-func TestHTTPSurface(t *testing.T) {
-	tr := trace.New()
-	s := newTestServer(t, Config{Side: 8, Tracer: tr, Budget: 1 << 40, Linger: time.Millisecond})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	resp, err := srv.Client().Get(srv.URL + "/search?key=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("/search?key=3 → %d", resp.StatusCode)
-	}
-	if resp, err := srv.Client().Get(srv.URL + "/search?key=zebra"); err == nil {
-		resp.Body.Close()
-		if resp.StatusCode != 400 {
-			t.Fatalf("/search?key=zebra → %d, want 400", resp.StatusCode)
-		}
-	}
-	mresp, err := srv.Client().Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	if mresp.StatusCode != 200 {
-		t.Fatalf("/metrics → %d", mresp.StatusCode)
-	}
 }
 
 // TestConfigValidation pins the constructor's error paths.
