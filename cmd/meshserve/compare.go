@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/fleet"
@@ -43,8 +41,7 @@ func runOutageCompare(cfg serve.Config, f workloadFlags) error {
 		return err
 	}
 	printReport(baseRep)
-	baseFleet := bt.fleet.Stats()
-	printFleetStats(baseFleet)
+	printFleetStats(bt.fleet.Stats())
 	bt.close()
 
 	// Resilient: same plan, same injected outage, hedging + ejection on.
@@ -63,8 +60,7 @@ func runOutageCompare(cfg serve.Config, f workloadFlags) error {
 		return err
 	}
 	printReport(resRep)
-	resFleet := rt.fleet.Stats()
-	printFleetStats(resFleet)
+	printFleetStats(rt.fleet.Stats())
 	rt.close()
 
 	// Correctness gates: gray-failure machinery must be invisible in the
@@ -97,68 +93,8 @@ func runOutageCompare(cfg serve.Config, f workloadFlags) error {
 		resRep.Total.P50.Round(time.Microsecond), resRep.Total.P99.Round(time.Microsecond), resRep.Total.P999.Round(time.Microsecond))
 	fmt.Printf("p99 recovery ratio: %.2fx (answer digest %.16s…, identical in both runs)\n", ratio, baseRep.Digest)
 
-	if f.benchOut != "" {
-		if err := writeCompareBench(f.benchOut, cfg, f, baseRep, resRep, &baseFleet, &resFleet, ratio); err != nil {
-			return err
-		}
-	}
 	if f.outageMinRecovery > 0 && ratio < f.outageMinRecovery {
 		return fmt.Errorf("p99 recovery ratio %.2fx is below the -outage-min-recovery bound %.2fx", ratio, f.outageMinRecovery)
 	}
 	return nil
-}
-
-// compareDoc is the E26 entry of the bench trajectory (BENCH_PR10.json).
-type compareDoc struct {
-	Outage         string          `json:"outage"`
-	Hedge          bool            `json:"hedge"`
-	Eject          bool            `json:"eject"`
-	RecoveryP99    float64         `json:"recovery_p99_ratio"`
-	Digest         string          `json:"answer_digest"`
-	Baseline       *loadgen.Report `json:"baseline"`
-	Resilient      *loadgen.Report `json:"resilient"`
-	BaselineFleet  *fleet.Stats    `json:"baseline_fleet,omitempty"`
-	ResilientFleet *fleet.Stats    `json:"resilient_fleet,omitempty"`
-}
-
-func writeCompareBench(path string, cfg serve.Config, f workloadFlags, baseRep, resRep *loadgen.Report, baseFleet, resFleet *fleet.Stats, ratio float64) error {
-	doc := benchDoc{
-		PR:       10,
-		Title:    "Gray-failure resilience: hedging + latency ejection (E26)",
-		Harness:  "meshserve -workload -outage-compare (internal/loadgen)",
-		Mode:     f.mode,
-		Side:     cfg.Side,
-		RateSpec: f.rate,
-		Zipf:     f.zipf,
-		Kinds:    mixSpec(f),
-		Seed:     f.seed,
-		Window:   f.window.String(),
-		Replicas: f.replicas,
-		Policy:   f.policy,
-		Compare: &compareDoc{
-			Outage:         f.outage,
-			Hedge:          true,
-			Eject:          true,
-			RecoveryP99:    ratio,
-			Digest:         baseRep.Digest,
-			Baseline:       baseRep,
-			Resilient:      resRep,
-			BaselineFleet:  baseFleet,
-			ResilientFleet: resFleet,
-		},
-	}
-	fh, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(fh)
-	enc.SetIndent("", "  ")
-	werr := enc.Encode(doc)
-	if cerr := fh.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		fmt.Printf("wrote %s\n", path)
-	}
-	return werr
 }

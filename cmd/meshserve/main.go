@@ -12,33 +12,27 @@
 //	curl 'localhost:8845/search?key=7'
 //	curl  localhost:8845/metrics
 //
-// Load-generator mode drives a one-replica fleet in-process with closed-loop
-// clients and prints the throughput table of EXPERIMENTS.md §E20 —
-// queries/round, simulated steps/query, and wall-clock rounds/sec versus
-// client count:
+// With -chaos N the serving mesh runs under seeded fault injection (audit
+// mode is forced on so faults trip the recovery ladder of DESIGN.md §3.6
+// instead of corrupting answers); the fleet's prober canaries an open
+// circuit as soon as a lookup meets it, then every -probe-interval until
+// the mesh is trusted again (EXPERIMENTS.md E21).
 //
-//	meshserve -loadgen -clients 1,4,16,64 -duration 2s -side 16
-//
-// Every load-generated answer is verified against the host-side dictionary
-// oracle; any mismatch fails the run. With -chaos N the serving mesh runs
-// under seeded fault injection (audit mode is forced on so faults trip the
-// recovery ladder of DESIGN.md §3.6 instead of corrupting answers); the
-// acceptance bar is zero mismatches and zero failed queries:
-//
-//	meshserve -loadgen -clients 8,32 -duration 1s -side 16 -chaos 42 -chaos-p 0.02
-//
-// Workload mode (-workload, DESIGN.md §3.7) is the open-loop counterpart:
-// arrivals follow a seeded Poisson or ON/OFF-bursty process whose clock does
-// not wait for answers, so queueing delay and saturation become observable.
-// It reports per-window latency percentiles, offered vs achieved qps, and
-// degraded/rejected fractions; -trace-out records the arrival plan plus the
-// answer stream to JSONL, -workload replay -trace-in re-runs it and requires
-// the answers to reproduce exactly; -saturate binary-searches the max
-// sustainable rate under an SLO and prints the knee (EXPERIMENTS.md E22):
+// Workload mode (-workload, DESIGN.md §3.7) drives the fleet with an
+// open-loop load: arrivals follow a seeded Poisson or ON/OFF-bursty process
+// whose clock does not wait for answers, so queueing delay and saturation
+// become observable. Every answer is verified against the host oracle, and
+// any mismatch or failed query fails the run. It reports per-window latency
+// percentiles, offered vs achieved qps, and degraded/rejected fractions;
+// -trace-out records the arrival plan plus the answer stream to JSONL,
+// -workload replay -trace-in re-runs it and requires the answers to
+// reproduce exactly; -saturate binary-searches the max sustainable rate
+// under an SLO and prints the knee (EXPERIMENTS.md E22):
 //
 //	meshserve -workload poisson -rate 200x2s,800x500ms,200x2s -side 16 -trace-out run.jsonl
 //	meshserve -workload replay -trace-in run.jsonl -side 16
-//	meshserve -workload poisson -rate 256 -saturate -slo-p99 50ms -bench-out BENCH_PR6.json
+//	meshserve -workload poisson -rate 256 -saturate -slo-p99 50ms
+//	meshserve -workload poisson -rate 3000 -side 16 -chaos 42 -chaos-p 0.002
 //
 // Fleet mode (-replicas N > 1, DESIGN.md §3.8) runs N instances behind a
 // health-aware router (-policy round-robin | least-loaded | health-weighted).
@@ -51,8 +45,7 @@
 //	meshserve -side 8 -replicas 3 -policy health-weighted -chaos-instance 42
 //	meshserve -workload poisson -rate 600 -side 8 -replicas 3 -policy least-loaded
 //	meshserve -workload poisson -rate 300 -target http://127.0.0.1:8845
-//	meshserve -workload poisson -rate 200 -saturate -sweep-replicas 1,2,4 \
-//	    -policy all -bench-out BENCH_PR7.json
+//	meshserve -workload poisson -rate 200 -saturate -sweep-replicas 1,2,4 -policy all
 //
 // Every query family of the paper is servable as a typed kind (-kinds,
 // DESIGN.md §3.10): membership, pointloc, interval, linepoly, tangent. Serve
@@ -65,7 +58,7 @@
 //	meshserve -side 16 -kinds membership,pointloc,interval
 //	curl 'localhost:8845/search?kind=pointloc&x=12&y=7'
 //	meshserve -workload poisson -rate 400 -side 16 \
-//	    -kinds membership:0.6,pointloc:0.3,interval:0.1 -bench-out BENCH_PR9.json
+//	    -kinds membership:0.6,pointloc:0.3,interval:0.1
 package main
 
 import (
@@ -75,18 +68,17 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"math/rand"
 	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/faults"
 	"repro/internal/fleet"
+	"repro/internal/loadgen"
 	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -102,18 +94,15 @@ func main() {
 	maxBatch := flag.Int("max-batch", 0, "max queries per round (0 = mesh size)")
 	queueDepth := flag.Int("queue", 0, "admission queue depth (0 = 4×max-batch)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
-	loadgen := flag.Bool("loadgen", false, "run the in-process load generator instead of serving HTTP")
-	clients := flag.String("clients", "1,4,16,64", "comma-separated closed-loop client counts (loadgen)")
-	duration := flag.Duration("duration", 2*time.Second, "measurement window per client count (loadgen)")
-	seed := flag.Int64("seed", 1, "needle-stream seed (loadgen)")
+	seed := flag.Int64("seed", 1, "arrival-plan and key-draw seed (workload)")
 	audit := flag.Bool("audit", false, "run every round in audit mode (forced on by -chaos)")
 	chaos := flag.Int64("chaos", 0, "inject seeded faults with this seed (non-zero; see internal/faults)")
 	chaosP := flag.Float64("chaos-p", 0.01, "per-consultation fault probability for -chaos")
 	chaosLimit := flag.Int("chaos-limit", 0, "stop injecting after this many faults (0 = unlimited)")
 	retries := flag.Int("retries", 0, "audited re-executions per failed round (0 = default 3, negative = none)")
 	breakerWindow := flag.Int("breaker-window", 0, "circuit-breaker sliding window, in rounds (0 = default 16)")
-	canaryInterval := flag.Duration("canary-interval", 0, "how often an open circuit probes the mesh (0 = default 50ms, negative = never)")
-	queryDeadline := flag.Duration("query-deadline", 5*time.Second, "per-query deadline for loadgen lookups (0 = none)")
+	probeInterval := flag.Duration("probe-interval", fleet.DefaultProbeInterval, "fleet prober tick: canary circuit-open replicas and latency-probe ejected ones")
+	queryDeadline := flag.Duration("query-deadline", 5*time.Second, "per-query deadline for workload lookups (0 = none)")
 	obsOn := flag.Bool("obs", true, "request tracing + per-stage wall-clock metrics (internal/obs; /debug/traces, Prometheus /metrics?format=prometheus)")
 	obsRing := flag.Int("obs-ring", 256, "retained-trace ring size for /debug/traces (-obs)")
 	obsLog := flag.Bool("obs-log", false, "log interesting trace completions (slow/degraded/failover/error) to stderr (-obs)")
@@ -131,7 +120,6 @@ func main() {
 	hedgeP99x := flag.Float64("hedge-p99x", 3, "adaptive hedge delay multiple of the per-replica p99 median (-hedge)")
 	eject := flag.Bool("eject", false, "eject latency-outlier replicas from routing until canary probes re-admit them (§3.11)")
 	ejectMultiple := flag.Float64("eject-multiple", 4, "eject a replica whose EWMA latency exceeds this multiple of the fleet median (-eject)")
-	ejectProbe := flag.Duration("eject-probe-interval", 100*time.Millisecond, "how often ejected replicas are probed for re-admission (-eject)")
 	outageCompare := flag.Bool("outage-compare", false, "run the -outage plan twice over the same arrival plan — plain failover vs hedging+ejection — and report the p99 recovery ratio (workload)")
 	outageMinRecovery := flag.Float64("outage-min-recovery", 0, "fail unless the -outage-compare p99 recovery ratio reaches this bound (0 = report only)")
 
@@ -147,7 +135,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "client-side cap on outstanding open-loop lookups (0 = 4096; workload)")
 	traceOut := flag.String("trace-out", "", "record the arrival plan + answers to this JSONL file (workload poisson|burst)")
 	traceIn := flag.String("trace-in", "", "replay this recorded JSONL trace (workload replay)")
-	benchOut := flag.String("bench-out", "", "write the machine-readable run report to this JSON file (workload)")
 	saturate := flag.Bool("saturate", false, "binary-search the max sustainable rate under the SLO instead of a single run (workload)")
 	sloP99 := flag.Duration("slo-p99", 50*time.Millisecond, "SLO: answered-query p99 latency bound (saturate)")
 	sloDegraded := flag.Float64("slo-degraded", 0.01, "SLO: max degraded fraction of answered queries (saturate)")
@@ -167,23 +154,22 @@ func main() {
 
 	// The kind mix configures both ends: the serve layer loads the mix's
 	// structures, the workload harness draws arrivals from its weights.
-	mix, err := parseKindsFlag(*kindsFlag)
+	mix, err := loadgen.ParseKindMix(*kindsFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "meshserve: %v\n", err)
 		os.Exit(2)
 	}
 
 	cfg := serve.Config{
-		Side:           *side,
-		Kinds:          mix.Kinds(),
-		Linger:         *linger,
-		Budget:         int64(*budget),
-		MaxBatch:       *maxBatch,
-		QueueDepth:     *queueDepth,
-		Tracer:         trace.New(),
-		MaxRetries:     *retries,
-		BreakerWindow:  *breakerWindow,
-		CanaryInterval: *canaryInterval,
+		Side:          *side,
+		Kinds:         mix.Kinds(),
+		Linger:        *linger,
+		Budget:        int64(*budget),
+		MaxBatch:      *maxBatch,
+		QueueDepth:    *queueDepth,
+		Tracer:        trace.New(),
+		MaxRetries:    *retries,
+		BreakerWindow: *breakerWindow,
 	}
 	switch *model {
 	case "counted":
@@ -234,16 +220,8 @@ func main() {
 		cfg.Obs = obs.New(oc)
 	}
 
-	if *loadgen && *workload != "" {
-		fmt.Fprintln(os.Stderr, "meshserve: -loadgen (closed-loop sweep) and -workload (open-loop harness) are mutually exclusive")
-		os.Exit(2)
-	}
 	if *replicas < 1 || *replicas > fleet.MaxReplicas {
 		fmt.Fprintf(os.Stderr, "meshserve: -replicas must be in [1, %d], got %d\n", fleet.MaxReplicas, *replicas)
-		os.Exit(2)
-	}
-	if *loadgen && *kindsFlag != "" {
-		fmt.Fprintln(os.Stderr, "meshserve: -loadgen is the membership-only closed-loop sweep; use -workload for kind mixes")
 		os.Exit(2)
 	}
 	if *policy == "all" {
@@ -280,11 +258,7 @@ func main() {
 		os.Exit(2)
 	}
 	hedgeCfg := fleet.HedgeConfig{Enabled: *hedge, Delay: *hedgeDelay, P99Multiple: *hedgeP99x}
-	ejectCfg := fleet.EjectConfig{Enabled: *eject, Multiple: *ejectMultiple, ProbeInterval: *ejectProbe}
-	if *loadgen && *replicas > 1 {
-		fmt.Fprintln(os.Stderr, "meshserve: -loadgen drives a one-replica fleet; use -workload for larger fleets")
-		os.Exit(2)
-	}
+	ejectCfg := fleet.EjectConfig{Enabled: *eject, Multiple: *ejectMultiple}
 	if *target != "" {
 		if *workload == "" {
 			fmt.Fprintln(os.Stderr, "meshserve: -target needs -workload (the HTTP driver is part of the open-loop harness)")
@@ -305,7 +279,7 @@ func main() {
 			on: *burstOn, off: *burstOff, zipf: *zipf, seed: *seed,
 			deadline: *queryDeadline, maxInFl: *maxInflight,
 			kinds: *kindsFlag, mix: mix,
-			traceOut: *traceOut, traceIn: *traceIn, benchOut: *benchOut,
+			traceOut: *traceOut, traceIn: *traceIn,
 			saturate: *saturate, sloP99: *sloP99, sloDegraded: *sloDegraded,
 			sloRejected: *sloRejected, satBisect: *satBisect, satMax: *satMax,
 			probeDur: *probeDur,
@@ -316,7 +290,7 @@ func main() {
 			chaosDowntime: *chaosDowntime,
 			outage:        *outage, outagePlan: outagePlanParsed,
 			outageCompare: *outageCompare, outageMinRecovery: *outageMinRecovery,
-			hedgeCfg: hedgeCfg, ejectCfg: ejectCfg,
+			hedgeCfg: hedgeCfg, ejectCfg: ejectCfg, probeEvery: *probeInterval,
 		}
 		if err := runWorkload(cfg, f); err != nil {
 			fmt.Fprintf(os.Stderr, "meshserve: %v\n", err)
@@ -324,20 +298,7 @@ func main() {
 		}
 		return
 	}
-	if *loadgen {
-		counts, err := parseCounts(*clients)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "meshserve: %v\n", err)
-			os.Exit(2)
-		}
-		fc := fleetConfig(cfg, 1, *policy, makeInjector, hedgeCfg, ejectCfg)
-		if err := runLoadgen(fc, counts, *duration, *seed, *queryDeadline, *chaos != 0); err != nil {
-			fmt.Fprintf(os.Stderr, "meshserve: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	fc := fleetConfig(cfg, *replicas, *policy, makeInjector, hedgeCfg, ejectCfg)
+	fc := fleetConfig(cfg, *replicas, *policy, makeInjector, hedgeCfg, ejectCfg, *probeInterval)
 	chaosCfg := fleet.ChaosConfig{Seed: *chaosInstance, KillEvery: *chaosKillEvery, Downtime: *chaosDowntime}
 	if err := runServeFleet(fc, *addr, *drain, chaosCfg); err != nil {
 		fmt.Fprintf(os.Stderr, "meshserve: %v\n", err)
@@ -348,7 +309,7 @@ func main() {
 // fleetConfig assembles the fleet template from the per-instance serve
 // config: every replica gets its own tracer (a tracer records one mesh) and,
 // under -chaos, its own derived fault injector.
-func fleetConfig(cfg serve.Config, replicas int, policyName string, makeInjector func(i int) mesh.Injector, hedge fleet.HedgeConfig, eject fleet.EjectConfig) fleet.Config {
+func fleetConfig(cfg serve.Config, replicas int, policyName string, makeInjector func(i int) mesh.Injector, hedge fleet.HedgeConfig, eject fleet.EjectConfig, probeEvery time.Duration) fleet.Config {
 	pol, err := fleet.PolicyByName(policyName)
 	if err != nil {
 		pol = fleet.RoundRobin() // validated in main; sweep passes "all"
@@ -362,9 +323,10 @@ func fleetConfig(cfg serve.Config, replicas int, policyName string, makeInjector
 		// Unlike tracers and injectors, the observer is deliberately shared:
 		// a failed-over request's trace must accumulate stage marks from
 		// every replica it touched, in one place.
-		Obs:   cfg.Obs,
-		Hedge: hedge,
-		Eject: eject,
+		Obs:           cfg.Obs,
+		Hedge:         hedge,
+		Eject:         eject,
+		ProbeInterval: probeEvery,
 	}
 }
 
@@ -437,139 +399,6 @@ func printFleetStats(st fleet.Stats) {
 	}
 }
 
-// runLoadgen sweeps closed-loop client counts against one long-lived
-// one-replica fleet and prints one throughput row per count from the stats
-// deltas. Overloaded lookups retry under the shared jittered backoff (not a
-// fixed sleep), each query carries its own deadline, and every answer —
-// mesh-served or from the fleet oracle — is checked against the host
-// oracle.
-func runLoadgen(fc fleet.Config, counts []int, dur time.Duration, seed int64, deadline time.Duration, chaos bool) error {
-	f, err := fleet.New(fc)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = f.Shutdown(ctx)
-	}()
-	cfg := fc.Instance
-	keys := int64(len(f.Tree().Keys))
-	fmt.Printf("meshserve loadgen: %dx%d mesh (%s model), %d keys, max batch %d, linger %s, window %s/point\n",
-		cfg.Side, cfg.Side, cfg.Model, keys, f.MaxBatch(), cfg.Linger, dur)
-	if chaos {
-		fmt.Printf("chaos: audit %v, acceptance = zero oracle mismatches, zero failed queries\n", cfg.Audit)
-	}
-	fmt.Printf("%8s %12s %10s %10s %14s %10s %10s\n",
-		"clients", "queries/s", "rounds/s", "q/round", "steps/query", "rejected", "degraded")
-
-	backoff := serve.Backoff{Base: cfg.RetryBackoff}
-	for _, nc := range counts {
-		before := f.Stats()
-		start := time.Now()
-		ctx, cancel := context.WithTimeout(context.Background(), dur)
-		var wg sync.WaitGroup
-		// First mismatch or hard error aborts the whole window: a client
-		// goroutine that silently returned used to shrink the offered
-		// concurrency for the rest of the window, quietly corrupting the
-		// throughput row it was about to print. fail() records the first
-		// cause and cancels every client; the row is only printed if the
-		// acceptance bar passed.
-		var failOnce sync.Once
-		var failErr error
-		fail := func(err error) {
-			failOnce.Do(func() { failErr = err })
-			cancel()
-		}
-		for c := 0; c < nc; c++ {
-			c := c
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed + int64(c)*7919))
-				overloads := 0
-				for ctx.Err() == nil {
-					needle := rng.Int63n(2 * keys) // ~half hits, half misses
-					res, err := lookupWithDeadline(ctx, f, needle, deadline)
-					switch {
-					case errors.Is(err, serve.ErrOverloaded):
-						if !backoff.Sleep(ctx, overloads) {
-							return
-						}
-						overloads++
-					case errors.Is(err, context.Canceled):
-						return
-					case errors.Is(err, context.DeadlineExceeded):
-						if ctx.Err() != nil {
-							return // measurement window closed, not a lost query
-						}
-						fail(fmt.Errorf("lookup of %d exceeded its %s deadline", needle, deadline))
-						return
-					case errors.Is(err, serve.ErrBudgetExhausted):
-						// The measurement-window context doubles as each
-						// query's outer deadline, so as the window closes the
-						// budget rung rightly sheds queries that cannot finish
-						// in time — end of stream, not a lost query. Only a
-						// shed against the per-query deadline itself counts
-						// as a failure.
-						if wd, ok := ctx.Deadline(); ok && (deadline <= 0 || time.Until(wd) < deadline) {
-							return
-						}
-						fail(fmt.Errorf("lookup of %d shed mid-window: %w", needle, err))
-						return
-					case err != nil:
-						fail(fmt.Errorf("lookup of %d failed: %w", needle, err))
-						return
-					case res.Found != f.Tree().Contains(needle),
-						res.Found && res.LeafKey != needle:
-						fail(fmt.Errorf("answer for %d disagrees with the host oracle (found=%v leaf=%d)",
-							needle, res.Found, res.LeafKey))
-						return
-					default:
-						overloads = 0
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		cancel()
-		if failErr != nil {
-			return fmt.Errorf("at %d clients: %w", nc, failErr)
-		}
-		wall := time.Since(start).Seconds()
-		d := f.Stats()
-		// Answers are the replica's mesh-served ones plus the fleet oracle's;
-		// the degraded column counts the latter.
-		degraded := d.OracleServed - before.OracleServed
-		served := d.Agg.Served - before.Agg.Served + degraded
-		rounds := d.Agg.Rounds - before.Agg.Rounds
-		steps := d.Agg.SimSteps - before.Agg.SimSteps
-		rejected := d.Agg.Rejected - before.Agg.Rejected
-		qPerRound, stepsPerQuery := 0.0, 0.0
-		if rounds > 0 {
-			qPerRound = float64(served) / float64(rounds)
-		}
-		if served > 0 {
-			stepsPerQuery = float64(steps) / float64(served)
-		}
-		fmt.Printf("%8d %12.0f %10.1f %10.1f %14.0f %10d %10d\n",
-			nc, float64(served)/wall, float64(rounds)/wall, qPerRound, stepsPerQuery, rejected, degraded)
-	}
-	printFleetStats(f.Stats())
-	return nil
-}
-
-// lookupWithDeadline bounds one lookup by the per-query deadline (0 = none)
-// on top of the sweep context.
-func lookupWithDeadline(ctx context.Context, f *fleet.Fleet, needle int64, deadline time.Duration) (fleet.Result, error) {
-	if deadline <= 0 {
-		return f.Lookup(ctx, needle)
-	}
-	qctx, cancel := context.WithTimeout(ctx, deadline)
-	defer cancel()
-	return f.Lookup(qctx, needle)
-}
-
 // kindNamesOf renders a served-kind list for banners.
 func kindNamesOf(kinds []serve.Kind) string {
 	names := make([]string, len(kinds))
@@ -584,12 +413,12 @@ func parseCounts(s string) ([]int, error) {
 	for _, f := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -clients entry %q", f)
+			return nil, fmt.Errorf("bad entry %q", f)
 		}
 		out = append(out, n)
 	}
 	if len(out) == 0 {
-		return nil, errors.New("-clients is empty")
+		return nil, errors.New("empty list")
 	}
 	return out, nil
 }

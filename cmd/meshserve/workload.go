@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
@@ -34,14 +33,13 @@ type workloadFlags struct {
 	trace    bool // -obs: propagate traceparent to remote targets, sample stage means
 
 	// Query-kind mix (-kinds, DESIGN.md §3.10): the raw spec for trace
-	// headers and bench docs, and the parsed mix the generator draws from.
+	// headers, and the parsed mix the generator draws from.
 	// A nil mix means membership only (the pre-kind behaviour).
 	kinds string
 	mix   *loadgen.KindMix
 
 	traceOut string
 	traceIn  string
-	benchOut string
 
 	saturate    bool
 	sloP99      time.Duration
@@ -62,12 +60,13 @@ type workloadFlags struct {
 	chaosDowntime  time.Duration
 
 	// Gray-failure resilience (-outage and friends, DESIGN.md §3.11).
-	outage            string     // raw -outage spec for banners and bench docs
+	outage            string     // raw -outage spec
 	outagePlan        outagePlan // parsed plan (already folded into makeInjector)
 	outageCompare     bool
 	outageMinRecovery float64
 	hedgeCfg          fleet.HedgeConfig
 	ejectCfg          fleet.EjectConfig
+	probeEvery        time.Duration // -probe-interval
 }
 
 // wlTarget is what the harness drives: an in-process fleet or a remote
@@ -103,7 +102,7 @@ func newTarget(cfg serve.Config, f workloadFlags, replicas int, policyName strin
 // chaos monkey when -chaos-instance is set (and the fleet is big enough for
 // the monkey to ever fire).
 func newFleetTarget(cfg serve.Config, f workloadFlags, replicas int, policyName string) (*wlTarget, error) {
-	fc := fleetConfig(cfg, replicas, policyName, f.makeInjector, f.hedgeCfg, f.ejectCfg)
+	fc := fleetConfig(cfg, replicas, policyName, f.makeInjector, f.hedgeCfg, f.ejectCfg, f.probeEvery)
 	fl, err := fleet.New(fc)
 	if err != nil {
 		return nil, err
@@ -193,12 +192,6 @@ func (f workloadFlags) kindMix() *loadgen.KindMix {
 	return f.mix
 }
 
-// parseKindsFlag parses -kinds. (It lives here rather than in main.go so the
-// loadgen package name does not collide with main's -loadgen flag variable.)
-func parseKindsFlag(spec string) (*loadgen.KindMix, error) {
-	return loadgen.ParseKindMix(spec)
-}
-
 // runConfig assembles the loadgen run config for this target.
 func (t *wlTarget) runConfig(events []loadgen.TraceEvent, f workloadFlags) loadgen.Config {
 	return loadgen.Config{
@@ -213,11 +206,10 @@ func (t *wlTarget) runConfig(events []loadgen.TraceEvent, f workloadFlags) loadg
 	}
 }
 
-// runWorkload is the open-loop serving-mode counterpart of runLoadgen: it
-// drives the target — in-process fleet or remote server — with an arrival
-// process that does not wait for answers, reports per-window SLO metrics,
-// and (optionally) binary-searches the saturation knee. Exit is non-zero on
-// any oracle mismatch, failed query, or replay divergence.
+// runWorkload drives the target — in-process fleet or remote server — with
+// an arrival process that does not wait for answers, reports per-window SLO
+// metrics, and (optionally) binary-searches the saturation knee. Exit is
+// non-zero on any oracle mismatch, failed query, or replay divergence.
 func runWorkload(cfg serve.Config, f workloadFlags) error {
 	if f.sweepReplicas != "" {
 		return runSweep(cfg, f)
@@ -236,15 +228,11 @@ func runWorkload(cfg serve.Config, f workloadFlags) error {
 		if f.mode == "replay" {
 			return fmt.Errorf("-saturate replays nothing: use -workload poisson or burst")
 		}
-		kr, err := runSaturation(t, f)
-		if err != nil {
+		if _, err := runSaturation(t, f); err != nil {
 			return err
 		}
 		if t.fleet != nil {
 			printFleetStats(t.fleet.Stats())
-		}
-		if f.benchOut != "" {
-			return writeBench(f.benchOut, cfg, f, t, nil, kr, nil)
 		}
 		return nil
 	}
@@ -325,11 +313,6 @@ func runWorkload(cfg serve.Config, f workloadFlags) error {
 			return werr
 		}
 		fmt.Printf("recorded %d arrivals + answers to %s\n", len(events), f.traceOut)
-	}
-	if f.benchOut != "" {
-		if err := writeBench(f.benchOut, cfg, f, t, rep, nil, nil); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -420,16 +403,6 @@ func runSaturation(t *wlTarget, f workloadFlags) (*loadgen.KneeReport, error) {
 	return kr, nil
 }
 
-// sweepEntry is one point of the capacity-planning sweep: the saturation
-// knee of one fleet size under one routing policy (EXPERIMENTS.md E23).
-type sweepEntry struct {
-	Replicas int     `json:"replicas"`
-	Policy   string  `json:"policy"`
-	KneeQPS  float64 `json:"knee_qps"`
-	Capped   bool    `json:"capped"`
-	Probes   int     `json:"probes"`
-}
-
 // runSweep is the capacity-planning mode (-sweep-replicas): one saturation
 // search per (policy, fleet size) point, each against a fresh fleet — the
 // n=1 point also goes through the router, so the sweep isolates replication
@@ -445,7 +418,7 @@ func runSweep(cfg serve.Config, f workloadFlags) error {
 	}
 	fmt.Printf("meshserve capacity sweep: %dx%d meshes, replicas %v, policies %v\n",
 		cfg.Side, cfg.Side, counts, policies)
-	var entries []sweepEntry
+	var rows []string // one knee per (policy, fleet size), printed at the end
 	for _, pol := range policies {
 		for _, n := range counts {
 			t, err := newTarget(cfg, f, n, pol)
@@ -458,29 +431,23 @@ func runSweep(cfg serve.Config, f workloadFlags) error {
 			if err != nil {
 				return err
 			}
-			entries = append(entries, sweepEntry{
-				Replicas: n, Policy: pol, KneeQPS: kr.Knee,
-				Capped: kr.Capped, Probes: len(kr.Probes),
-			})
+			capped := ""
+			if kr.Capped {
+				capped = " (capped)"
+			}
+			rows = append(rows, fmt.Sprintf("%16s %9d %12.1f%s", pol, n, kr.Knee, capped))
 		}
 	}
 	fmt.Printf("\n%16s %9s %12s\n", "policy", "replicas", "knee qps")
-	for _, e := range entries {
-		capped := ""
-		if e.Capped {
-			capped = " (capped)"
-		}
-		fmt.Printf("%16s %9d %12.1f%s\n", e.Policy, e.Replicas, e.KneeQPS, capped)
-	}
-	if f.benchOut != "" {
-		return writeBench(f.benchOut, cfg, f, nil, nil, nil, entries)
+	for _, r := range rows {
+		fmt.Println(r)
 	}
 	return nil
 }
 
 // mixSpec is the canonical (normalized-weight) rendering of the -kinds flag,
 // or "" when the workload is membership only — the form recorded in trace
-// headers and bench docs.
+// headers.
 func mixSpec(f workloadFlags) string {
 	if f.kinds == "" {
 		return ""
@@ -559,84 +526,4 @@ func printStageBreakdown(rep *loadgen.Report) {
 		fmt.Printf("  %s %s", name, time.Duration(ns).Round(time.Microsecond))
 	}
 	fmt.Println()
-}
-
-// benchDoc is the machine-readable result trajectory entry (BENCH_PR6.json,
-// BENCH_PR7.json).
-type benchDoc struct {
-	PR         int                 `json:"pr"`
-	Title      string              `json:"title"`
-	Harness    string              `json:"harness"`
-	Mode       string              `json:"mode"`
-	Side       int                 `json:"side"`
-	RateSpec   string              `json:"rate_spec"`
-	Zipf       float64             `json:"zipf_s,omitempty"`
-	Kinds      string              `json:"kinds,omitempty"`
-	Seed       int64               `json:"seed"`
-	Window     string              `json:"window"`
-	Target     string              `json:"target,omitempty"`
-	Replicas   int                 `json:"replicas,omitempty"`
-	Policy     string              `json:"policy,omitempty"`
-	Outage     string              `json:"outage,omitempty"`
-	Report     *loadgen.Report     `json:"report,omitempty"`
-	Saturation *loadgen.KneeReport `json:"saturation,omitempty"`
-	Sweep      []sweepEntry        `json:"sweep,omitempty"`
-	Fleet      *fleet.Stats        `json:"fleet,omitempty"`
-	Compare    *compareDoc         `json:"compare,omitempty"`
-}
-
-func writeBench(path string, cfg serve.Config, f workloadFlags, t *wlTarget, rep *loadgen.Report, kr *loadgen.KneeReport, sweep []sweepEntry) error {
-	doc := benchDoc{
-		PR:       6,
-		Title:    "Open-loop workload & SLO harness (E22)",
-		Harness:  "meshserve -workload (internal/loadgen)",
-		Mode:     f.mode,
-		Side:     cfg.Side,
-		RateSpec: f.rate,
-		Zipf:     f.zipf,
-		Kinds:    mixSpec(f),
-		Seed:     f.seed,
-		Window:   f.window.String(),
-		Target:   f.target,
-		Report:   rep,
-	}
-	if f.replicas > 1 || f.target != "" || sweep != nil {
-		doc.PR = 7
-		doc.Title = "Replicated fleet capacity & failover (E23)"
-	}
-	if f.kinds != "" {
-		doc.PR = 9
-		doc.Title = "Typed query-kind serving (E25)"
-	}
-	if f.outage != "" {
-		doc.PR = 10
-		doc.Title = "Gray-failure resilience: hedging + latency ejection (E26)"
-		doc.Outage = f.outage
-	}
-	if kr != nil {
-		doc.Saturation = kr
-	}
-	if sweep != nil {
-		doc.Sweep = sweep
-	}
-	if t != nil && t.fleet != nil {
-		doc.Replicas = t.fleet.Replicas()
-		doc.Policy = f.policy
-		fst := t.fleet.Stats()
-		doc.Fleet = &fst
-	}
-	fh, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(fh)
-	enc.SetIndent("", "  ")
-	werr := enc.Encode(doc)
-	if cerr := fh.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		fmt.Printf("wrote %s\n", path)
-	}
-	return werr
 }

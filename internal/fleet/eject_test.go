@@ -12,14 +12,13 @@ import (
 )
 
 // inertEject is an Eject config for tests that drive the scoring machinery
-// by hand: the outlier rule is live, but the re-admission prober is parked
-// on an hour-long interval so it cannot interleave with the test's samples.
+// by hand: the outlier rule is live. Such tests park the prober on an
+// hour-long ProbeInterval so it cannot interleave with their samples.
 func inertEject(minSamples int64) EjectConfig {
 	return EjectConfig{
-		Enabled:       true,
-		Multiple:      4,
-		MinSamples:    minSamples,
-		ProbeInterval: time.Hour,
+		Enabled:    true,
+		Multiple:   4,
+		MinSamples: minSamples,
 	}
 }
 
@@ -27,14 +26,15 @@ func inertEject(minSamples int64) EjectConfig {
 // replicas, two fast and one consistently 100× slower. Once every replica
 // clears the sample floor the slow one's EWMA exceeds 4× the fleet median
 // and it is ejected — routing then avoids it, the fleet stays Healthy, its
-// stats row carries the fleet's "ejected" verdict over the instance's own
-// Healthy self-report, and a manual readmit restores it.
+// stats row carries the "ejected" verdict although its circuit is closed,
+// and a manual readmit restores it.
 func TestLatencyOutlierIsEjected(t *testing.T) {
 	f := newTestFleet(t, Config{
-		Replicas: 3,
-		Policy:   LeastLoaded(),
-		Instance: serve.Config{Side: 8, Linger: 100 * time.Microsecond},
-		Eject:    inertEject(4),
+		Replicas:      3,
+		Policy:        LeastLoaded(),
+		Instance:      serve.Config{Side: 8, Linger: 100 * time.Microsecond},
+		Eject:         inertEject(4),
+		ProbeInterval: time.Hour,
 	})
 	for i := 0; i < 6; i++ {
 		f.noteLatency(1, time.Millisecond)
@@ -49,13 +49,13 @@ func TestLatencyOutlierIsEjected(t *testing.T) {
 		t.Fatalf("100× outlier not ejected: %+v", st)
 	}
 	row := st.PerReplica[0]
-	if !row.Ejected || row.Health != serve.Ejected.String() {
+	if !row.Ejected || row.Health != Ejected.String() {
 		t.Fatalf("replica 0 row lacks the ejection verdict: %+v", row)
 	}
 	if row.LatencyEWMA < 10*time.Millisecond {
 		t.Fatalf("ejected replica's score %v does not reflect its samples", row.LatencyEWMA)
 	}
-	if st.Health != serve.Healthy.String() || st.HealthyReplicas != 2 {
+	if st.Health != Healthy.String() || st.HealthyReplicas != 2 {
 		t.Fatalf("fleet with 2 healthy replicas after ejection: %+v", st)
 	}
 
@@ -86,9 +86,10 @@ func TestLatencyOutlierIsEjected(t *testing.T) {
 // beats an oracle answer — no matter how damning the replica's score.
 func TestAutoEjectionSparesLastRoutableReplica(t *testing.T) {
 	f := newTestFleet(t, Config{
-		Replicas: 3,
-		Instance: serve.Config{Side: 8, Linger: 100 * time.Microsecond},
-		Eject:    inertEject(2),
+		Replicas:      3,
+		Instance:      serve.Config{Side: 8, Linger: 100 * time.Microsecond},
+		Eject:         inertEject(2),
+		ProbeInterval: time.Hour,
 	})
 	// Establish the fast baseline first — a sample fed to an ejected
 	// replica would count toward its re-admission.
@@ -128,21 +129,17 @@ func TestAutoEjectionSparesLastRoutableReplica(t *testing.T) {
 // TestAllEjectedDegradesThenProbesReadmit is the satellite-3 contract: with
 // every replica manually ejected the fleet is Degraded — /healthz flips to
 // 503 with a Retry-After, and RetryAfterHint is one probe interval, because
-// re-admission is gated on the prober's next canary. Lookups still answer
-// correctly (an ejected replica's slow answer beats an oracle answer), and
-// the canary prober then measures the replicas healthy and re-admits them
-// without any operator action.
+// re-admission is gated on the prober's next latency probe. Lookups still
+// answer correctly (an ejected replica's slow answer beats an oracle
+// answer), and the prober then measures the replicas healthy and re-admits
+// them without any operator action.
 func TestAllEjectedDegradesThenProbesReadmit(t *testing.T) {
 	const probeEvery = 25 * time.Millisecond
 	f := newTestFleet(t, Config{
-		Replicas: 2,
-		Instance: serve.Config{Side: 8, Linger: 100 * time.Microsecond},
-		Eject: EjectConfig{
-			Enabled:       true,
-			MinSamples:    2,
-			ProbeInterval: probeEvery,
-			ProbeTimeout:  2 * time.Second,
-		},
+		Replicas:      2,
+		Instance:      serve.Config{Side: 8, Linger: 100 * time.Microsecond},
+		Eject:         EjectConfig{Enabled: true, MinSamples: 2},
+		ProbeInterval: probeEvery,
 	})
 	srv := httptest.NewServer(f.Handler())
 	defer srv.Close()
@@ -167,7 +164,7 @@ func TestAllEjectedDegradesThenProbesReadmit(t *testing.T) {
 	if err := f.EjectReplica(1); err != nil {
 		t.Fatal(err)
 	}
-	if h := f.Health(); h != serve.Degraded {
+	if h := f.Health(); h != Degraded {
 		t.Fatalf("all-ejected fleet health %v, want Degraded", h)
 	}
 	if hint := f.RetryAfterHint(); hint != probeEvery {
@@ -191,14 +188,14 @@ func TestAllEjectedDegradesThenProbesReadmit(t *testing.T) {
 		t.Fatalf("all-ejected lookup fell through to the oracle: %+v", st)
 	}
 
-	// The canary prober re-measures the (actually fast) replicas and
-	// re-admits them: no operator in the loop.
+	// The prober re-measures the (actually fast) replicas and re-admits
+	// them: no operator in the loop.
 	deadline := time.Now().Add(10 * time.Second)
-	for f.Health() != serve.Healthy && time.Now().Before(deadline) {
+	for f.Health() != Healthy && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	st := f.Stats()
-	if f.Health() != serve.Healthy {
+	if f.Health() != Healthy {
 		t.Fatalf("prober never re-admitted a healthy replica: %+v", st)
 	}
 	if st.Readmissions == 0 || st.EjectProbes == 0 {

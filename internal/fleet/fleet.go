@@ -14,13 +14,15 @@
 //	               to its host-side dictionary oracle (Degraded answers).
 //
 // Instances inside a fleet therefore run with serve.Config.DisableOracle:
-// they keep their breaker, health machine and canaries, but surface typed
-// faults instead of answering from the oracle themselves — the fleet owns
-// that last rung. Routing is pluggable (round-robin, least-loaded by
-// admission-queue depth, health-weighted by breaker state); lame-duck and
-// crashed replicas are routed around while their canaries — or a restart —
-// bring them back. Replica crash/restart is chaos-injectable (StartChaos)
-// with measured time-to-healthy.
+// they keep their retry ladder and breaker, but surface typed faults
+// instead of answering from the oracle themselves — the fleet owns that
+// last rung. The fleet also owns replica health: one prober per fleet
+// canaries circuit-open replicas and latency-probes ejected ones until they
+// can be trusted again (probe.go). Routing is pluggable (round-robin,
+// least-loaded by admission-queue depth, health-weighted by breaker state);
+// degraded, ejected and crashed replicas are routed around while the
+// prober — or a restart — brings them back. Replica crash/restart is
+// chaos-injectable (StartChaos) with measured time-to-healthy.
 package fleet
 
 import (
@@ -99,6 +101,11 @@ type Config struct {
 	// both default off).
 	Hedge HedgeConfig
 	Eject EjectConfig
+	// ProbeInterval is the prober's tick: how often it canaries
+	// circuit-open replicas and latency-probes ejected ones (0 defaults to
+	// DefaultProbeInterval). It is also the Retry-After floor while
+	// recovery waits on the prober.
+	ProbeInterval time.Duration
 }
 
 // Result is one answered lookup plus its provenance: which replica served
@@ -132,6 +139,11 @@ type replica struct {
 	latSamples atomic.Int64
 	ejected    atomic.Bool
 	lat        obs.Histogram
+
+	// canaried is the incarnation whose current circuit opening the prober
+	// has already canaried: a wake skips it, a tick does not. Cleared when
+	// a canary closes the circuit.
+	canaried atomic.Pointer[serve.Instance]
 }
 
 // Fleet is N serve instances behind a router. Safe for concurrent use.
@@ -142,9 +154,7 @@ type Fleet struct {
 	ss           *serve.StructureSet // fleet-level oracle structures, one per kind
 	bt           *dict.BTree         // the membership structure's tree (Tree accessor)
 	reps         []*replica
-
-	mu     sync.RWMutex // guards closed against Lookup and restarts
-	closed bool
+	closed       atomic.Bool // set once by Shutdown
 
 	dispatched     atomic.Int64
 	failovers      atomic.Int64 // re-dispatch attempts after a failed pick
@@ -159,15 +169,15 @@ type Fleet struct {
 	hedgeWins      atomic.Int64 // hedges whose answer arrived first
 	ejections      atomic.Int64 // latency-outlier ejections (auto + manual)
 	readmissions   atomic.Int64 // ejections cleared (probes or manual)
-	ejectProbes    atomic.Int64 // canary probes sent to ejected replicas
+	ejectProbes    atomic.Int64 // latency probes sent to ejected replicas
 	hedgeDelayNS   atomic.Int64 // cached derived hedge delay
 	hedgeDelayAt   atomic.Int64 // unix ns the cache was filled
 
-	probeStop   chan struct{} // closes to stop the re-admission prober
-	probeDone   chan struct{} // closed when the prober has exited
-	probeOnce   sync.Once
-	lastTTH     atomic.Int64 // ns, most recent crash → healthy
-	maxTTH      atomic.Int64 // ns, worst observed
+	probeWake   chan struct{}      // one pending early pass (wakeOnFault)
+	probeCancel context.CancelFunc // stops the prober
+	probeDone   chan struct{}      // closed when the prober has exited
+	lastTTH     atomic.Int64       // ns, most recent crash → healthy
+	maxTTH      atomic.Int64       // ns, worst observed
 	lat         obs.Histogram
 	latFailover obs.Histogram // answered by a non-first pick
 	latOracle   obs.Histogram // answered by the fleet oracle rung
@@ -190,6 +200,9 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	cfg.Hedge.setDefaults()
 	cfg.Eject.setDefaults()
+	if cfg.ProbeInterval <= 0 {
+		cfg.ProbeInterval = DefaultProbeInterval
+	}
 	f := &Fleet{cfg: cfg, policy: cfg.Policy, obs: cfg.Obs}
 	if f.policy == nil {
 		f.policy = RoundRobin()
@@ -219,11 +232,11 @@ func New(cfg Config) (*Fleet, error) {
 	// even across that replica's later crashes.
 	f.ss = f.reps[0].inst.Structures()
 	f.bt = f.ss.Membership()
-	if cfg.Eject.Enabled {
-		f.probeStop = make(chan struct{})
-		f.probeDone = make(chan struct{})
-		go f.probeEjected()
-	}
+	ctx, cancel := context.WithCancel(context.Background())
+	f.probeWake = make(chan struct{}, 1)
+	f.probeCancel = cancel
+	f.probeDone = make(chan struct{})
+	go f.probeLoop(ctx)
 	return f, nil
 }
 
@@ -291,6 +304,19 @@ func (f *Fleet) instance(i int) *serve.Instance {
 	return r.inst
 }
 
+// replicaHealth is an up replica's state before ejection: LameDuck once
+// the fleet is closed, Degraded while its circuit is open, else Healthy.
+func (f *Fleet) replicaHealth(inst *serve.Instance) Health {
+	switch {
+	case f.closed.Load():
+		return LameDuck
+	case inst.CircuitOpen():
+		return Degraded
+	default:
+		return Healthy
+	}
+}
+
 // views snapshots every replica for the routing policy.
 func (f *Fleet) views() []ReplicaView {
 	out := make([]ReplicaView, len(f.reps))
@@ -301,7 +327,7 @@ func (f *Fleet) views() []ReplicaView {
 		v := ReplicaView{Index: i}
 		if !down && inst != nil {
 			v.Up = true
-			v.Health = inst.Health()
+			v.Health = f.replicaHealth(inst)
 			v.QueueLen = inst.QueueLen()
 			v.QueueCap = inst.QueueCap()
 			v.LatencyEWMA = time.Duration(r.ewmaNS.Load())
@@ -335,12 +361,9 @@ func (f *Fleet) LookupKind(ctx context.Context, kind serve.Kind, args serve.Args
 		// on replicas guaranteed to reject it.
 		return Result{}, serve.ErrKindNotServed
 	}
-	f.mu.RLock()
-	if f.closed {
-		f.mu.RUnlock()
+	if f.closed.Load() {
 		return Result{}, serve.ErrClosed
 	}
-	f.mu.RUnlock()
 	f.dispatched.Add(1)
 
 	// Fleet-level tracing: adopt the HTTP handler's trace from ctx, or begin
@@ -549,12 +572,9 @@ func (f *Fleet) RestartReplica(i int) error {
 	if i < 0 || i >= len(f.reps) {
 		return fmt.Errorf("fleet: no replica %d", i)
 	}
-	f.mu.RLock()
-	if f.closed {
-		f.mu.RUnlock()
+	if f.closed.Load() {
 		return serve.ErrClosed
 	}
-	f.mu.RUnlock()
 	r := f.reps[i]
 	r.mu.RLock()
 	down, crashedAt := r.down, r.crashedAt
@@ -603,19 +623,16 @@ func (f *Fleet) RestartReplica(i int) error {
 // oracle, and /healthz tells balancers to prefer elsewhere. An all-ejected
 // fleet is therefore Degraded even though every breaker is closed: that is
 // the gray-failure case /healthz exists to surface.
-func (f *Fleet) Health() serve.Health {
-	f.mu.RLock()
-	closed := f.closed
-	f.mu.RUnlock()
-	if closed {
-		return serve.LameDuck
+func (f *Fleet) Health() Health {
+	if f.closed.Load() {
+		return LameDuck
 	}
 	for _, v := range f.views() {
-		if v.Up && v.Health == serve.Healthy && !v.Ejected {
-			return serve.Healthy
+		if v.Up && v.Health == Healthy && !v.Ejected {
+			return Healthy
 		}
 	}
-	return serve.Degraded
+	return Degraded
 }
 
 // RestartBoundHint is the retry hint when zero replicas are routable: with
@@ -629,15 +646,15 @@ const RestartBoundHint = time.Second
 // RetryAfterHint is the fleet's backpressure signal: the minimum retry hint
 // across healthy routable replicas — the soonest any replica could accept
 // work — not whichever instance happened to reject. Degraded replicas are
-// consulted only when no healthy one exists. When every live replica is
-// latency-ejected the hint is one probe interval: re-admission is gated on
-// the prober's next canary, so that is the soonest routing can recover.
-// With no routable replica at all the hint is RestartBoundHint.
+// consulted only when no healthy one exists, and their hint is at least one
+// probe interval: their recovery waits on the prober's canary, not on their
+// queue. When every live replica is latency-ejected the hint is one probe
+// interval too. With no routable replica at all it is RestartBoundHint.
 func (f *Fleet) RetryAfterHint() time.Duration {
 	best, bestDegraded := time.Duration(-1), time.Duration(-1)
 	anyEjected := false
 	for i, v := range f.views() {
-		if !v.Up || v.Health == serve.LameDuck {
+		if !v.Up || v.Health == LameDuck {
 			continue
 		}
 		if v.Ejected {
@@ -649,11 +666,14 @@ func (f *Fleet) RetryAfterHint() time.Duration {
 			continue
 		}
 		h := inst.RetryAfterHint()
-		if v.Health == serve.Healthy {
+		if v.Health == Healthy {
 			if best < 0 || h < best {
 				best = h
 			}
-		} else if bestDegraded < 0 || h < bestDegraded {
+			continue
+		}
+		h = max(h, f.cfg.ProbeInterval)
+		if bestDegraded < 0 || h < bestDegraded {
 			bestDegraded = h
 		}
 	}
@@ -663,7 +683,7 @@ func (f *Fleet) RetryAfterHint() time.Duration {
 	case bestDegraded >= 0:
 		return bestDegraded
 	case anyEjected:
-		return f.cfg.Eject.ProbeInterval
+		return f.cfg.ProbeInterval
 	default:
 		return RestartBoundHint
 	}
@@ -673,14 +693,9 @@ func (f *Fleet) RetryAfterHint() time.Duration {
 // parallel through the normal serve drain path. Crashed replicas stay
 // down. Returns the first drain error.
 func (f *Fleet) Shutdown(ctx context.Context) error {
-	f.mu.Lock()
-	f.closed = true
-	f.mu.Unlock()
-
-	if f.probeStop != nil {
-		f.probeOnce.Do(func() { close(f.probeStop) })
-		<-f.probeDone
-	}
+	f.closed.Store(true)
+	f.probeCancel()
+	<-f.probeDone
 
 	var wg sync.WaitGroup
 	errs := make([]error, len(f.reps))
@@ -850,14 +865,14 @@ func (f *Fleet) Stats() Stats {
 			st.DownReplicas++
 		} else {
 			row.State = "up"
-			h := inst.Health()
+			h := f.replicaHealth(inst)
 			row.QueueLen = inst.QueueLen()
 			row.LatencyEWMA = time.Duration(r.ewmaNS.Load())
 			row.Ejected = r.ejected.Load()
 			if row.Ejected {
-				// The fleet's verdict overrides the instance's self-report:
-				// a gray-failed replica says Healthy about itself.
-				row.Health = serve.Ejected.String()
+				// The latency verdict overrides the breaker's: a
+				// gray-failed replica's circuit is closed.
+				row.Health = Ejected.String()
 				st.EjectedReplicas++
 			} else {
 				row.Health = h.String()
@@ -866,9 +881,9 @@ func (f *Fleet) Stats() Stats {
 			sumStats(&row.Serve, live)
 			switch {
 			case row.Ejected:
-			case h == serve.Healthy:
+			case h == Healthy:
 				st.HealthyReplicas++
-			case h == serve.Degraded:
+			case h == Degraded:
 				st.DegradedReplicas++
 			}
 		}

@@ -177,8 +177,10 @@ func TestHealthWeightedRoutesAroundDegradedReplica(t *testing.T) {
 		Instance: serve.Config{
 			Side: 8, Audit: true, MaxRetries: -1,
 			Linger: 100 * time.Microsecond, RetryBackoff: 10 * time.Microsecond,
-			CanaryInterval: -1, // keep the broken replica visibly degraded
 		},
+		// Every canary of the broken replica fails; the parked tick keeps
+		// the test from spending its time on them.
+		ProbeInterval: time.Hour,
 		MakeInjector: func(i int) mesh.Injector {
 			if i == 0 {
 				return brokenInjector{}
@@ -196,7 +198,7 @@ func TestHealthWeightedRoutesAroundDegradedReplica(t *testing.T) {
 			checkAnswer(t, f, 3, res)
 		}
 		views := f.views()
-		if views[0].Up && views[0].Health == serve.Degraded {
+		if views[0].Up && views[0].Health == Degraded {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -242,8 +244,8 @@ func TestAllReplicasDownFallsBackToOracle(t *testing.T) {
 		}
 		checkAnswer(t, f, needle, res)
 	}
-	if f.Health() != serve.Degraded {
-		t.Fatalf("all-down fleet health %v, want %v", f.Health(), serve.Degraded)
+	if f.Health() != Degraded {
+		t.Fatalf("all-down fleet health %v, want %v", f.Health(), Degraded)
 	}
 	st := f.Stats()
 	if st.OracleServed != 4 || st.Unrouted != 4 || st.DownReplicas != 2 {
@@ -454,7 +456,7 @@ func TestShutdownDrainsAllReplicas(t *testing.T) {
 	if _, err := f.Lookup(context.Background(), 1); !errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("post-shutdown lookup returned %v, want ErrClosed", err)
 	}
-	if f.Health() != serve.LameDuck {
-		t.Fatalf("post-shutdown health %v, want %v", f.Health(), serve.LameDuck)
+	if f.Health() != LameDuck {
+		t.Fatalf("post-shutdown health %v, want %v", f.Health(), LameDuck)
 	}
 }

@@ -15,8 +15,8 @@ package fleet
 //	eject  — per-replica: every answered dispatch feeds an EWMA latency
 //	         score; a replica whose score exceeds a configurable multiple
 //	         of the fleet median is ejected — a fourth health state beside
-//	         healthy/degraded/lame-duck — and re-admitted only when
-//	         background canary probes measure it back within bounds.
+//	         healthy/degraded/lame-duck — and re-admitted only when the
+//	         fleet prober's latency probes measure it back within bounds.
 //
 // Hedging hides the slow replica from this request; ejection hides it from
 // all subsequent ones. The censored-sample rule ties them together: a
@@ -55,8 +55,9 @@ type HedgeConfig struct {
 
 // EjectConfig configures latency-outlier ejection.
 type EjectConfig struct {
-	// Enabled turns automatic ejection and the re-admission prober on.
-	// Manual EjectReplica/ReadmitReplica work regardless.
+	// Enabled turns automatic ejection and the prober's latency probes of
+	// ejected replicas on. Manual EjectReplica/ReadmitReplica work
+	// regardless.
 	Enabled bool
 	// Multiple ejects a replica whose EWMA latency score exceeds Multiple
 	// times the fleet median (default 4).
@@ -68,13 +69,6 @@ type EjectConfig struct {
 	// MinSamples is the score sample floor before a replica can be ejected
 	// or counted in the median (default 16).
 	MinSamples int64
-	// ProbeInterval paces the background canary prober that re-measures
-	// ejected replicas (default 100ms). Also the /healthz Retry-After hint
-	// when every replica is ejected.
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe lookup (default 1s). A probe that times
-	// out records the timeout as a censored latency sample.
-	ProbeTimeout time.Duration
 }
 
 func (c *HedgeConfig) setDefaults() {
@@ -98,12 +92,6 @@ func (c *EjectConfig) setDefaults() {
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 16
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 100 * time.Millisecond
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
 	}
 }
 
@@ -230,68 +218,6 @@ func (f *Fleet) ReadmitReplica(i int) error {
 	return nil
 }
 
-// probeEjected is the re-admission prober: every ProbeInterval it sends one
-// oracle-checked canary lookup to each ejected replica. A correct answer
-// feeds the measured latency into the score — fast probes decay the EWMA
-// until the readmit rule fires; slow probes keep it ejected. Runs for the
-// fleet's lifetime when Eject.Enabled; Shutdown stops it.
-func (f *Fleet) probeEjected() {
-	defer close(f.probeDone)
-	t := time.NewTicker(f.cfg.Eject.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-f.probeStop:
-			return
-		case <-t.C:
-		}
-		for i, r := range f.reps {
-			if !r.ejected.Load() {
-				continue
-			}
-			inst := f.instance(i)
-			if inst == nil {
-				continue
-			}
-			f.probeReplica(i, inst)
-		}
-	}
-}
-
-// probeReplica sends one canary lookup of the first enabled kind to an
-// ejected replica and scores the round trip. Answers are checked against
-// the fleet oracle: a wrong answer records no sample (correctness is the
-// breaker ladder's jurisdiction — ejection only ever reasons about time).
-func (f *Fleet) probeReplica(i int, inst *serve.Instance) {
-	kinds := f.ss.Kinds()
-	if len(kinds) == 0 {
-		return
-	}
-	st := f.ss.Get(kinds[0])
-	probes := st.Canary()
-	if len(probes) == 0 {
-		return
-	}
-	args := probes[0]
-	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.Eject.ProbeTimeout)
-	defer cancel()
-	f.ejectProbes.Add(1)
-	start := time.Now()
-	res, err := inst.LookupKind(ctx, kinds[0], args)
-	d := time.Since(start)
-	if err != nil {
-		// Timed out or faulted: the probe ran at least this long — a
-		// censored sample that keeps a still-slow replica's score honest.
-		f.noteLatency(i, d)
-		return
-	}
-	want := serve.HostAnswer(st, args)
-	if res.Found != want.Found || res.Value != want.Value {
-		return
-	}
-	f.noteLatency(i, d)
-}
-
 // hedgeDelay resolves the current hedge delay: the fixed configured delay,
 // or P99Multiple × the median per-replica dispatch p99 (replicas with at
 // least MinSamples answered dispatches), floored by MinDelay and cached for
@@ -380,6 +306,7 @@ func (f *Fleet) dispatchHedged(ctx context.Context, kind serve.Kind, args serve.
 		if err == nil {
 			f.noteLatency(primary, time.Since(start))
 		}
+		f.wakeOnFault(err)
 		return res, primary, false, err
 	}
 
@@ -400,6 +327,7 @@ func (f *Fleet) dispatchHedged(ctx context.Context, kind serve.Kind, args serve.
 			// accumulate the slow evidence that ejects it.
 			f.noteLatency(idx, d)
 		}
+		f.wakeOnFault(err)
 		ch <- attempt{res: res, err: err, idx: idx}
 	}
 

@@ -220,7 +220,7 @@ func (f *Fleet) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"last_time_to_healthy_ns": st.LastTimeToHealthy,
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if h != serve.Healthy {
+	if h != Healthy {
 		w.Header().Set("Retry-After", RetryAfterSeconds(f.RetryAfterHint()))
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
@@ -286,7 +286,7 @@ func (f *Fleet) promMetrics(w http.ResponseWriter) {
 		if rv.Up {
 			health = rv.Health.String()
 		}
-		pw.Gauge("meshfleet_replica_healthy", "1 while the replica reports healthy.", boolGauge(rv.Up && rv.Health == serve.Healthy), "replica", idx, "health", health)
+		pw.Gauge("meshfleet_replica_healthy", "1 while the replica reports healthy.", boolGauge(rv.Up && rv.Health == Healthy), "replica", idx, "health", health)
 		pw.Gauge("meshfleet_replica_queue_depth", "Replica admission-queue depth.", float64(rv.QueueLen), "replica", idx)
 		pw.Gauge("meshfleet_replica_latency_ewma_seconds", "Per-replica EWMA dispatch-latency score (the ejection signal).", float64(rv.LatencyEWMA)/1e9, "replica", idx)
 		pw.Gauge("meshfleet_replica_ejected", "1 while the replica is latency-ejected.", boolGauge(rv.Ejected), "replica", idx)

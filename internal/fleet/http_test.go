@@ -381,12 +381,14 @@ func trainRoundTime(t *testing.T, f *Fleet) {
 // oracle in between).
 func TestFleetHealthzRecoveryCycle(t *testing.T) {
 	g := &gateInjector{}
-	f := newTestFleet(t, Config{Instance: serve.Config{
-		Side: 8, Audit: true, Injector: g,
-		MaxRetries: -1, BreakerWindow: 4,
-		CanaryInterval: 2 * time.Millisecond,
-		RetryBackoff:   10 * time.Microsecond,
-	}})
+	f := newTestFleet(t, Config{
+		Instance: serve.Config{
+			Side: 8, Audit: true, Injector: g,
+			MaxRetries: -1, BreakerWindow: 4,
+			RetryBackoff: 10 * time.Microsecond,
+		},
+		ProbeInterval: 2 * time.Millisecond,
+	})
 	srv := httptest.NewServer(f.Handler())
 	defer srv.Close()
 	get := func(path string) (int, http.Header, string) {

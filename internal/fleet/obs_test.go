@@ -125,19 +125,19 @@ func TestFleetOracleTraceMarksLastRung(t *testing.T) {
 // zero-routable-replicas case:
 //
 //	healthy replicas exist  → min over healthy instance hints
-//	only degraded replicas  → min over degraded instance hints
+//	only degraded replicas  → min over degraded instance hints, each at
+//	                          least one probe interval (recovery waits on
+//	                          the prober's canary)
 //	no routable replica     → RestartBoundHint
 func TestRetryAfterHintNoHealthyReplicas(t *testing.T) {
-	const linger = 2 * time.Millisecond
+	const linger, probeEvery = 2 * time.Millisecond, time.Hour
 	f := newTestFleet(t, Config{
 		Replicas: 2,
 		Instance: serve.Config{
 			Side: 8, Linger: linger, Audit: true, MaxRetries: -1,
 			RetryBackoff: 10 * time.Microsecond,
-			// Manual canaries only: a probe must not close the circuit and
-			// flip the degraded replica back to healthy mid-assertion.
-			CanaryInterval: -1,
 		},
+		ProbeInterval: probeEvery,
 		MakeInjector: func(i int) mesh.Injector {
 			if i == 0 {
 				return brokenInjector{}
@@ -161,21 +161,21 @@ func TestRetryAfterHintNoHealthyReplicas(t *testing.T) {
 	if _, err := inst0.Lookup(context.Background(), 7); err == nil {
 		t.Fatal("broken replica answered; want a typed fault")
 	}
-	if h := inst0.Health(); h != serve.Degraded {
-		t.Fatalf("replica 0 health %s after terminal fault, want degraded", h)
+	if !inst0.CircuitOpen() {
+		t.Fatal("replica 0's circuit still closed after a terminal fault")
 	}
 	if got := f.RetryAfterHint(); got != linger {
 		t.Fatalf("hint with one degraded replica %s, want healthy replica's %s", got, linger)
 	}
 
 	// Crash the healthy replica: only the degraded one remains routable, so
-	// its (canary-dominated) hint is the answer — still not the restart bound.
+	// its canary-bound hint — one probe interval, longer than its queue's —
+	// is the answer, still not the restart bound.
 	if err := f.CrashReplica(1); err != nil {
 		t.Fatal(err)
 	}
-	want := inst0.RetryAfterHint()
-	if got := f.RetryAfterHint(); got != want {
-		t.Fatalf("degraded-only hint %s, want replica 0's own %s", got, want)
+	if got := f.RetryAfterHint(); got != probeEvery {
+		t.Fatalf("degraded-only hint %s, want the probe interval %s", got, probeEvery)
 	}
 	if got := f.RetryAfterHint(); got == RestartBoundHint {
 		t.Fatal("degraded-only fleet must not report the restart bound")

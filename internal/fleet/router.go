@@ -4,24 +4,23 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/serve"
 )
 
 // ReplicaView is one replica's routing-relevant state, snapshotted per
-// dispatch: liveness, the PR 5 health ladder's verdict, the admission queue
-// depth (the least-loaded signal), and the PR 10 latency score (the
-// gray-failure signal — DESIGN.md §3.11).
+// dispatch: liveness, its Health before ejection (breaker state, or
+// lame-duck once the fleet is closed), the admission queue depth (the
+// least-loaded signal), and the latency score (the gray-failure signal —
+// DESIGN.md §3.11).
 type ReplicaView struct {
 	Index    int
 	Up       bool // instance running (not crashed/restarting)
-	Health   serve.Health
+	Health   Health
 	QueueLen int
 	QueueCap int
 	// LatencyEWMA is the fleet's per-replica answered-dispatch latency
 	// score; Ejected is its verdict — the score is an outlier multiple of
 	// the fleet median, so the replica is skipped by every policy until
-	// canary probes re-admit it. Policies treat Ejected like lame-duck;
+	// latency probes re-admit it. Policies treat Ejected like lame-duck;
 	// the dispatch loop alone may fall back to ejected replicas when
 	// nothing else is routable (slow answers still beat oracle answers).
 	LatencyEWMA time.Duration
@@ -32,7 +31,7 @@ type ReplicaView struct {
 // is up, not draining, not latency-ejected, and not already tried this
 // dispatch. Policies differ only in how they *order* routable replicas.
 func routable(v ReplicaView, skip func(int) bool) bool {
-	return v.Up && v.Health != serve.LameDuck && !v.Ejected && !skip(v.Index)
+	return v.Up && v.Health != LameDuck && !v.Ejected && !skip(v.Index)
 }
 
 // Policy orders replicas for dispatch. Pick returns the preferred routable
@@ -114,10 +113,10 @@ type healthWeighted struct{}
 
 // HealthWeighted folds the PR 5 breaker state into routing: healthy
 // replicas (circuit closed) are always preferred, least-loaded among them;
-// a degraded replica — circuit open, canaries probing — receives traffic
-// only when no healthy replica is routable. With DisableOracle a degraded
-// instance fails lookups fast, so routing to one is a last resort that the
-// failover loop converts into an oracle answer.
+// a degraded replica — circuit open, the prober canarying it — receives
+// traffic only when no healthy replica is routable. With DisableOracle a
+// degraded instance fails lookups fast, so routing to one is a last resort
+// that the failover loop converts into an oracle answer.
 func HealthWeighted() Policy { return healthWeighted{} }
 
 func (healthWeighted) Name() string { return "health-weighted" }
@@ -129,7 +128,7 @@ func (healthWeighted) Pick(views []ReplicaView, skip func(int) bool) int {
 			continue
 		}
 		tier := 0
-		if v.Health != serve.Healthy {
+		if v.Health != Healthy {
 			tier = 1
 		}
 		if best < 0 || tier < bestTier || (tier == bestTier && v.QueueLen < bestLen) {

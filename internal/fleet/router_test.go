@@ -1,10 +1,6 @@
 package fleet
 
-import (
-	"testing"
-
-	"repro/internal/serve"
-)
+import "testing"
 
 func noSkip(int) bool { return false }
 
@@ -20,7 +16,7 @@ func skipSet(idxs ...int) func(int) bool {
 func upViews(n int) []ReplicaView {
 	out := make([]ReplicaView, n)
 	for i := range out {
-		out[i] = ReplicaView{Index: i, Up: true, Health: serve.Healthy, QueueCap: 64}
+		out[i] = ReplicaView{Index: i, Up: true, Health: Healthy, QueueCap: 64}
 	}
 	return out
 }
@@ -50,7 +46,7 @@ func TestRoundRobinRotatesAndSkips(t *testing.T) {
 	// A down replica and a lame-duck replica never receive traffic; a
 	// skipped (already-tried) replica is the failover contract.
 	views[0].Up = false
-	views[1].Health = serve.LameDuck
+	views[1].Health = LameDuck
 	for i := 0; i < 4; i++ {
 		if idx := p.Pick(views, noSkip); idx != 2 {
 			t.Fatalf("pick %d, want the only routable replica 2", idx)
@@ -95,7 +91,7 @@ func TestHealthWeightedPrefersHealthyTier(t *testing.T) {
 	views := upViews(3)
 	// An idle degraded replica (breaker open, canaries probing) loses to a
 	// busy healthy one: circuit state outranks queue depth.
-	views[0].Health = serve.Degraded
+	views[0].Health = Degraded
 	views[1].QueueLen = 7
 	views[2].QueueLen = 3
 	if idx := p.Pick(views, noSkip); idx != 2 {
@@ -110,8 +106,8 @@ func TestHealthWeightedPrefersHealthyTier(t *testing.T) {
 		t.Fatalf("pick %d, want degraded replica 0 as last resort", idx)
 	}
 	// All degraded: least loaded among them.
-	views[1].Health = serve.Degraded
-	views[2].Health = serve.Degraded
+	views[1].Health = Degraded
+	views[2].Health = Degraded
 	views[0].QueueLen = 2
 	if idx := p.Pick(views, noSkip); idx != 0 {
 		t.Fatalf("pick %d among all-degraded, want least-loaded 0", idx)

@@ -1,9 +1,9 @@
 // Package loadgen is the open-loop workload generator and SLO harness for
-// the serve layer (DESIGN.md §3.7). Unlike the closed-loop sweep in
-// cmd/meshserve (-loadgen), which can only offer as much load as the server
-// absorbs, loadgen fires queries on an arrival clock that does not wait for
-// responses — the only way to observe saturation, queueing delay, and the
-// offered-vs-achieved gap Theorem 2's amortized throughput bound is about.
+// the serve layer (DESIGN.md §3.7). Unlike a closed-loop driver, which can
+// only offer as much load as the server absorbs, loadgen fires queries on
+// an arrival clock that does not wait for responses — the only way to
+// observe saturation, queueing delay, and the offered-vs-achieved gap
+// Theorem 2's amortized throughput bound is about.
 //
 // The pieces compose:
 //

@@ -11,7 +11,7 @@ import (
 
 // TestDisableOracleSurfacesTypedFaults pins the fleet-facing instance
 // contract (DESIGN.md §3.8): with DisableOracle the ladder keeps its
-// breaker, health machine and canaries, but a round the mesh cannot serve
+// breaker and canary rounds, but a round the mesh cannot serve
 // returns its typed fault — never a host-oracle answer — so a fleet can
 // fail the lookup over to another replica before anything degrades.
 func TestDisableOracleSurfacesTypedFaults(t *testing.T) {
@@ -36,7 +36,6 @@ func TestDisableOracleSurfacesTypedFaults(t *testing.T) {
 		s := newTestServer(t, Config{
 			Side: 8, Audit: true, Injector: g, DisableOracle: true,
 			MaxRetries: -1, RetryBackoff: 10 * time.Microsecond,
-			CanaryInterval: 2 * time.Millisecond,
 		})
 		if res, err := s.Lookup(context.Background(), 3); err != nil || res.Degraded {
 			t.Fatalf("healthy lookup: res=%+v err=%v", res, err)
@@ -50,8 +49,8 @@ func TestDisableOracleSurfacesTypedFaults(t *testing.T) {
 		if !errors.As(err, &ae) {
 			t.Fatalf("broken-mesh lookup error %v does not unwrap to *mesh.AuditError", err)
 		}
-		if s.Health() != Degraded {
-			t.Fatalf("health %v after terminal failure, want %v", s.Health(), Degraded)
+		if !s.CircuitOpen() {
+			t.Fatal("circuit closed after a terminal failure")
 		}
 		// With the circuit open, lookups fail fast with the typed sentinel —
 		// the signal a fleet dispatcher failovers on without waiting a round.
@@ -59,15 +58,11 @@ func TestDisableOracleSurfacesTypedFaults(t *testing.T) {
 			t.Fatalf("open-circuit lookup error %v, want ErrCircuitOpen", err)
 		}
 
-		// Heal the mesh: canaries must still run under DisableOracle and
+		// Heal the mesh: a canary must still run under DisableOracle and
 		// close the circuit with no help from traffic.
 		g.broken.Store(false)
-		deadline := time.Now().Add(5 * time.Second)
-		for s.Health() != Healthy {
-			if time.Now().After(deadline) {
-				t.Fatalf("canaries never closed the circuit: %+v", s.Stats())
-			}
-			time.Sleep(2 * time.Millisecond)
+		if err := s.Canary(context.Background()); err != nil || s.CircuitOpen() {
+			t.Fatalf("canary on a healed mesh: err=%v, circuit open %v", err, s.CircuitOpen())
 		}
 		if res, err := s.Lookup(context.Background(), 3); err != nil || res.Degraded || !res.Found {
 			t.Fatalf("post-recovery lookup: res=%+v err=%v", res, err)

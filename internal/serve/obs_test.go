@@ -108,7 +108,7 @@ func TestStagePartitionUnderChaos(t *testing.T) {
 	s := newTestServer(t, Config{
 		Side: 8, Audit: true, Injector: g, Obs: o, Tracer: trace.New(),
 		MaxRetries: 2, RetryBackoff: 10 * time.Microsecond,
-		Linger: 100 * time.Microsecond, CanaryInterval: 2 * time.Millisecond,
+		Linger: 100 * time.Microsecond,
 	})
 
 	lookupAll := func(n int) {
@@ -140,13 +140,9 @@ func TestStagePartitionUnderChaos(t *testing.T) {
 	g.broken.Store(true)
 	lookupAll(8) // broken phase: retry ladder → oracle degrade, circuit opens
 	g.broken.Store(false)
-	// Wait for a canary to close the circuit so the last phase serves mesh.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Health() != Healthy && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if s.Health() != Healthy {
-		t.Fatal("circuit never closed after faults cleared")
+	// A canary closes the circuit so the last phase serves mesh.
+	if err := s.Canary(context.Background()); err != nil || s.CircuitOpen() {
+		t.Fatalf("circuit not closed after faults cleared: err=%v", err)
 	}
 	lookupAll(8) // recovered phase
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -12,16 +13,16 @@ import (
 // This file is the recovery ladder around the round executor (DESIGN.md
 // §3.6). Everything here runs on the executor goroutine — the only
 // goroutine that touches the mesh — so audit toggling, per-kind budget
-// switching, breaker bookkeeping and canary scheduling need no locks; the
-// rest of the server observes the outcome through the atomic counters and
-// the circuitOpen/lameduck flags.
+// switching, breaker bookkeeping and canary rounds need no locks; the rest
+// of the server observes the outcome through the atomic counters and the
+// circuitOpen flag.
 
-// serveBatch answers one batch of one kind. Circuit open: probe the mesh
-// with a canary if one is due, then either serve normally (canary closed
-// the circuit) or answer from the kind's host oracle. Circuit closed: run
-// the retry ladder — attempt the round, classify any fault, re-execute with
-// auditing forced on under jittered backoff, and degrade to the oracle when
-// the mesh keeps failing.
+// serveBatch answers one batch of one kind. Circuit open: fail fast with
+// ErrCircuitOpen (DisableOracle) or answer from the kind's host oracle —
+// only a Canary closes the circuit. Circuit closed: run the retry ladder —
+// attempt the round, classify any fault, re-execute with auditing forced on
+// under jittered backoff, and degrade to the oracle when the mesh keeps
+// failing.
 func (s *Instance) serveBatch(kr *kindRuntime, batch []request) {
 	round := s.rounds.Add(1)
 	kr.rounds.Add(1)
@@ -34,20 +35,15 @@ func (s *Instance) serveBatch(kr *kindRuntime, batch []request) {
 	s.markBatch(batch, obs.StageLinger)
 
 	if s.circuitOpen.Load() {
-		if s.canaryDue() {
-			s.runCanary()
-		}
-		if s.circuitOpen.Load() {
-			if s.cfg.DisableOracle {
-				// No oracle rung on this instance: fail fast with the
-				// typed circuit error so the fleet can re-dispatch the
-				// lookup to a replica whose mesh is still trusted.
-				s.failBatch(batch, ErrCircuitOpen)
-				return
-			}
-			s.degradeBatch(kr, batch, round)
+		if s.cfg.DisableOracle {
+			// No oracle rung on this instance: fail fast with the typed
+			// circuit error so the fleet can re-dispatch the lookup to a
+			// replica whose mesh is still trusted.
+			s.failBatch(batch, ErrCircuitOpen)
 			return
 		}
+		s.degradeBatch(kr, batch, round)
+		return
 	}
 
 	args := make([]Args, len(batch))
@@ -272,7 +268,6 @@ func (s *Instance) openCircuit() {
 	if s.circuitOpen.CompareAndSwap(false, true) {
 		s.circuitOpens.Add(1)
 		s.brk.reset()
-		s.lastCanary = time.Time{} // first canary is immediately due
 	}
 }
 
@@ -284,63 +279,53 @@ func (s *Instance) closeCircuit() {
 	}
 }
 
-// canaryDue reports whether an open circuit should probe the mesh now.
-// A non-positive CanaryInterval disables probing (tests drive recovery by
-// hand); lastCanary is executor-owned.
-func (s *Instance) canaryDue() bool {
-	if s.canaryEvery <= 0 {
-		return false
-	}
-	return time.Since(s.lastCanary) >= s.canaryEvery
-}
-
 // runCanary probes the mesh with one audited round per enabled kind over
 // each kind's small synthetic probe set, and closes the circuit only when
 // every round completes and every answer agrees with the kind's host
-// oracle. Canary answers go nowhere — the probe exists only to decide
-// whether real traffic can trust the mesh again, and a mesh distrusted for
-// one kind is distrusted for all (the fault classes are mesh-level, not
+// oracle; it returns nil then, and the first fault or mismatch otherwise.
+// Canary answers go nowhere — the probe exists only to decide whether real
+// traffic can trust the mesh again, and a mesh distrusted for one kind is
+// distrusted for all (the fault classes are mesh-level, not
 // structure-level).
-func (s *Instance) runCanary() {
-	s.lastCanary = time.Now()
+func (s *Instance) runCanary() error {
 	s.canaryRounds.Add(1)
 	s.m.SetAudit(true)
-	ok := true
-	var firstErr error
+	err := s.canaryKinds()
+	s.m.SetAudit(s.cfg.Audit)
+	if err != nil {
+		s.canaryFailures.Add(1)
+		if !errors.Is(err, errCanaryMismatch) {
+			s.faults[core.Classify(err)].Add(1)
+		}
+		return err
+	}
+	s.closeCircuit()
+	return nil
+}
+
+// errCanaryMismatch marks a canary answer that disagrees with the host
+// oracle: silent corruption the audit did not catch.
+var errCanaryMismatch = errors.New("serve: canary answer disagrees with the host oracle")
+
+// canaryKinds runs each enabled kind's canary round, stopping at the first
+// round fault or wrong answer.
+func (s *Instance) canaryKinds() error {
 	for _, kind := range s.kinds {
 		kr := s.kr[kind]
 		probes := kr.st.Canary()
 		if len(probes) > s.m.N() {
 			probes = probes[:s.m.N()]
 		}
-		queries := kr.st.MakeQueries(probes)
-		results, _, err := s.meshRound(kr, fmt.Sprintf("canary %s %d", kind, s.canaryRounds.Load()), "canary", queries)
+		results, _, err := s.meshRound(kr, fmt.Sprintf("canary %s %d", kind, s.canaryRounds.Load()), "canary", kr.st.MakeQueries(probes))
 		if err != nil {
-			ok = false
-			if firstErr == nil {
-				firstErr = err
-			}
-			break
+			return err
 		}
 		for i, probe := range probes {
-			got := kr.st.Extract(results, i)
-			want := HostAnswer(kr.st, probe)
+			got, want := kr.st.Extract(results, i), HostAnswer(kr.st, probe)
 			if got.Found != want.Found || got.Value != want.Value {
-				ok = false // silent corruption the audit did not catch
-				break
+				return fmt.Errorf("%w (%s probe %v)", errCanaryMismatch, kind, probe)
 			}
 		}
-		if !ok {
-			break
-		}
 	}
-	s.m.SetAudit(s.cfg.Audit)
-	if ok {
-		s.closeCircuit()
-		return
-	}
-	s.canaryFailures.Add(1)
-	if firstErr != nil {
-		s.faults[core.Classify(firstErr)].Add(1)
-	}
+	return nil
 }

@@ -212,7 +212,7 @@ func TestChaosSortFaultRetriedAndRecovered(t *testing.T) {
 // user-visible — the batch is answered by the host oracle, flagged
 // degraded, and the circuit opens.
 func TestBudgetOverrunDegradesToOracle(t *testing.T) {
-	s := newTestServer(t, Config{Side: 8, Budget: 3, CanaryInterval: -1})
+	s := newTestServer(t, Config{Side: 8, Budget: 3})
 	res, err := s.Lookup(context.Background(), 3)
 	if err != nil {
 		t.Fatalf("lookup under recovery returned error %v; want degraded answer", err)
@@ -227,8 +227,8 @@ func TestBudgetOverrunDegradesToOracle(t *testing.T) {
 	if res.LeafKey != leaf || res.Steps != path {
 		t.Fatalf("degraded answer provenance wrong: %+v (want leaf %d, path %d)", res, leaf, path)
 	}
-	if s.Health() != Degraded {
-		t.Fatalf("terminal round failure left health %v, want %v", s.Health(), Degraded)
+	if !s.CircuitOpen() {
+		t.Fatal("terminal round failure left the circuit closed")
 	}
 	// The open circuit routes the next batch straight to the oracle: no
 	// mesh round, still a correct degraded answer.
@@ -243,79 +243,81 @@ func TestBudgetOverrunDegradesToOracle(t *testing.T) {
 	if st.FaultsBudget == 0 || st.CircuitOpens != 1 {
 		t.Fatalf("breaker accounting wrong: %+v", st)
 	}
-	if st.Health != "degraded" {
-		t.Fatalf("stats health %q, want degraded", st.Health)
-	}
 }
 
-// TestCircuitBreakerOpensAndCanaryCloses drives the full health cycle:
-// healthy → (mesh breaks) degraded with oracle answers → (mesh heals) a
-// periodic audited canary closes the circuit → healthy mesh serving again.
-// (The /healthz 200 → 503 → 200 view of the same cycle is a fleet test.)
+// TestCircuitBreakerOpensAndCanaryCloses drives the full breaker cycle by
+// hand: closed → (mesh breaks) open with oracle answers → a canary on the
+// still-broken mesh fails and leaves it open → (mesh heals) a canary closes
+// it → mesh serving again. No canary runs unless asked: the instance has no
+// prober of its own. (The /healthz 200 → 503 → 200 view of the same cycle,
+// with the fleet's prober, is a fleet test.)
 func TestCircuitBreakerOpensAndCanaryCloses(t *testing.T) {
 	g := &gateInjector{}
 	s := newTestServer(t, Config{
 		Side: 8, Audit: true, Injector: g,
 		MaxRetries: -1, BreakerWindow: 4,
-		CanaryInterval: 2 * time.Millisecond,
-		RetryBackoff:   10 * time.Microsecond,
+		RetryBackoff: 10 * time.Microsecond,
 	})
+	ctx := context.Background()
 
 	// Phase 1: healthy mesh serving.
-	res, err := s.Lookup(context.Background(), 3)
+	res, err := s.Lookup(ctx, 3)
 	if err != nil || res.Degraded {
 		t.Fatalf("healthy lookup: res=%+v err=%v", res, err)
 	}
-	if s.Health() != Healthy {
-		t.Fatalf("health %v while serving from the mesh, want %v", s.Health(), Healthy)
+	if s.CircuitOpen() {
+		t.Fatal("circuit open while serving from the mesh")
 	}
 
 	// Phase 2: break the mesh. The next round fails terminally (no
 	// retries), the circuit opens, and the batch degrades to the oracle.
 	g.broken.Store(true)
-	res, err = s.Lookup(context.Background(), 5)
+	res, err = s.Lookup(ctx, 5)
 	if err != nil || !res.Degraded || res.Found != s.Tree().Contains(5) {
 		t.Fatalf("broken-mesh lookup: res=%+v err=%v", res, err)
 	}
-	if s.Health() != Degraded {
-		t.Fatalf("health %v after terminal failure, want %v", s.Health(), Degraded)
+	if !s.CircuitOpen() {
+		t.Fatal("circuit closed after a terminal failure")
 	}
-	// Let at least one canary probe the still-broken mesh and fail.
-	time.Sleep(10 * time.Millisecond)
-	if _, err := s.Lookup(context.Background(), 7); err != nil {
+	// A canary on the still-broken mesh fails and keeps the circuit open.
+	if err := s.Canary(ctx); err == nil {
+		t.Fatal("canary passed on a broken mesh")
+	}
+	if !s.CircuitOpen() {
+		t.Fatal("a failed canary closed the circuit")
+	}
+	if _, err := s.Lookup(ctx, 7); err != nil {
 		t.Fatal(err)
 	}
 
-	// Phase 3: heal the mesh; a canary must close the circuit without any
-	// help from traffic.
+	// Phase 3: heal the mesh; the next canary closes the circuit.
 	g.broken.Store(false)
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Health() != Healthy {
-		if time.Now().After(deadline) {
-			t.Fatalf("circuit never closed: %+v", s.Stats())
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := s.Canary(ctx); err != nil {
+		t.Fatalf("canary on a healed mesh: %v", err)
 	}
-	res, err = s.Lookup(context.Background(), 3)
+	if s.CircuitOpen() {
+		t.Fatal("a passing canary left the circuit open")
+	}
+	res, err = s.Lookup(ctx, 3)
 	if err != nil || res.Degraded {
 		t.Fatalf("post-recovery lookup not mesh-served: res=%+v err=%v", res, err)
 	}
 	st := s.Stats()
-	if st.CircuitOpens == 0 || st.CircuitCloses == 0 {
+	if st.CircuitOpens != 1 || st.CircuitCloses != 1 {
 		t.Fatalf("missing circuit transitions: %+v", st)
 	}
-	if st.CanaryRounds == 0 || st.CanaryFails == 0 {
-		t.Fatalf("canary accounting wrong (want ≥1 probe and ≥1 failed probe): %+v", st)
+	if st.CanaryRounds != 2 || st.CanaryFails != 1 {
+		t.Fatalf("canary accounting wrong (want 2 probes, 1 failed): %+v", st)
 	}
 	if st.Failed != 0 {
 		t.Fatalf("user-visible failures across the whole cycle: %+v", st)
 	}
 }
 
-// TestShutdownEntersLameDuck pins the terminal health state: once Shutdown
-// begins the instance reports lame-duck, which the fleet's /healthz turns
-// into a 503 so load balancers drain away.
-func TestShutdownEntersLameDuck(t *testing.T) {
+// TestCanaryAfterShutdownIsClosed pins the terminal state: once Shutdown
+// begins, Canary and Lookup both return ErrClosed, so a fleet prober that
+// races a crash or a drain gets a typed refusal instead of a round.
+func TestCanaryAfterShutdownIsClosed(t *testing.T) {
 	s, err := New(Config{Side: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +327,10 @@ func TestShutdownEntersLameDuck(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if s.Health() != LameDuck {
-		t.Fatalf("health after shutdown %v, want %v", s.Health(), LameDuck)
+	if err := s.Canary(ctx); !errors.Is(err, ErrClosed) {
+		t.Fatalf("canary after shutdown: %v, want ErrClosed", err)
+	}
+	if _, err := s.Lookup(ctx, 3); !errors.Is(err, ErrClosed) {
+		t.Fatalf("lookup after shutdown: %v, want ErrClosed", err)
 	}
 }

@@ -24,11 +24,10 @@
 // classified (core.Classify), re-executed with auditing forced on under
 // jittered backoff, and — if the mesh keeps failing — the batch is answered
 // by the kind's host-side oracle descent, flagged Degraded. A sliding-window
-// circuit breaker drives a health state machine (healthy → degraded →
-// lame-duck) that the fleet's router and /healthz read; an open circuit
-// routes batches straight to the oracle while periodic audited canary
-// rounds probe the mesh across every enabled kind and close the circuit on
-// success.
+// circuit breaker opens when the mesh keeps faulting; an open circuit routes
+// batches straight to the oracle until an audited canary round across every
+// enabled kind (Canary) closes it. The instance never schedules canaries
+// itself: the fleet's prober owns that decision (internal/fleet).
 package serve
 
 import (
@@ -143,7 +142,7 @@ type Config struct {
 	// tests; production serving wants the default.
 	DisableDegrade bool
 	// DisableOracle keeps the whole recovery ladder — retries, breaker,
-	// health machine, canaries — but removes only the final oracle rung:
+	// canary rounds — but removes only the final oracle rung:
 	// an exhausted batch delivers its typed fault, and a circuit-open
 	// instance fails lookups fast with ErrCircuitOpen instead of answering
 	// from the host oracle. This is how an instance runs inside a fleet,
@@ -156,10 +155,6 @@ type Config struct {
 	// BreakerThreshold is the windowed first-attempt failure rate at or
 	// above which the circuit opens (0 defaults to 0.5; clamped to (0,1]).
 	BreakerThreshold float64
-	// CanaryInterval is how often an open circuit probes the mesh with an
-	// audited, oracle-checked canary round (0 defaults to 50ms; negative
-	// disables canaries — the circuit then only closes by hand, for tests).
-	CanaryInterval time.Duration
 
 	// Obs installs the wall-clock observability layer (DESIGN.md §3.9):
 	// every Lookup gets a per-stage traced ReqTrace, stage histograms feed
@@ -234,7 +229,7 @@ type Stats struct {
 	FaultsCanceled int64  `json:"faults_canceled"`
 	FaultsPanic    int64  `json:"faults_panic"`
 	FaultsOther    int64  `json:"faults_other"`
-	Health         string `json:"health"` // healthy | degraded | lame-duck
+	Health         string `json:"health"` // the fleet's verdict, set only on fleet.Stats.Agg
 
 	// Latency summarizes the answered-lookup latency histogram (admission to
 	// response, mesh-served and degraded alike) so /metrics exposes serving
@@ -331,19 +326,15 @@ type Instance struct {
 	latDegraded obs.Histogram // oracle-answered subset
 	obs         *obs.Observer
 
-	// Recovery state (DESIGN.md §3.6). maxRetries/backoff/canaryEvery are
-	// the resolved Config knobs; brk and lastCanary are owned by the
-	// executor goroutine; circuitOpen mirrors brk's verdict for readers
-	// (Health, /healthz) and lameduck is set once by Shutdown. nudge wakes
-	// the executor for idle canaries when the circuit is open.
+	// Recovery state (DESIGN.md §3.6). maxRetries/backoff are the resolved
+	// Config knobs; brk is owned by the executor goroutine; circuitOpen
+	// mirrors brk's verdict for readers (CircuitOpen, the fleet's router).
+	// canaries carries Canary's requests to the executor.
 	maxRetries  int
 	backoff     Backoff
-	canaryEvery time.Duration
 	brk         *breaker
-	lastCanary  time.Time
-	nudge       chan struct{}
+	canaries    chan chan error
 	circuitOpen atomic.Bool
-	lameduck    atomic.Bool
 
 	retries, recovered           atomic.Int64
 	degraded, degradedRounds     atomic.Int64
@@ -420,32 +411,27 @@ func New(cfg Config) (*Instance, error) {
 	if threshold <= 0 || threshold > 1 {
 		threshold = 0.5
 	}
-	canaryEvery := cfg.CanaryInterval
-	if canaryEvery == 0 {
-		canaryEvery = 50 * time.Millisecond
-	}
 	backoff := Backoff{Base: cfg.RetryBackoff}
 	if cfg.BackoffSeed != 0 {
 		backoff.Jitter = SeededJitter(cfg.BackoffSeed)
 	}
 
 	s := &Instance{
-		cfg:         cfg,
-		m:           m,
-		ss:          ss,
-		bt:          ss.Membership(),
-		kinds:       ss.Kinds(),
-		maxBatch:    maxBatch,
-		batches:     make(chan kindBatch, 1),
-		runCtx:      ctx,
-		cancel:      cancel,
-		done:        make(chan struct{}),
-		maxRetries:  maxRetries,
-		backoff:     backoff,
-		canaryEvery: canaryEvery,
-		brk:         newBreaker(window, threshold),
-		nudge:       make(chan struct{}, 1),
-		obs:         cfg.Obs,
+		cfg:        cfg,
+		m:          m,
+		ss:         ss,
+		bt:         ss.Membership(),
+		kinds:      ss.Kinds(),
+		maxBatch:   maxBatch,
+		batches:    make(chan kindBatch, 1),
+		runCtx:     ctx,
+		cancel:     cancel,
+		done:       make(chan struct{}),
+		maxRetries: maxRetries,
+		backoff:    backoff,
+		brk:        newBreaker(window, threshold),
+		canaries:   make(chan chan error),
+		obs:        cfg.Obs,
 	}
 	for _, k := range s.kinds {
 		st := ss.Get(k)
@@ -485,21 +471,41 @@ func New(cfg Config) (*Instance, error) {
 		close(s.batches)
 	}()
 	go s.execute()
-	if canaryEvery > 0 && !cfg.DisableDegrade {
-		go s.canaryTicker()
-	}
 	return s, nil
 }
 
-// Health reports the server's current admission-facing state.
-func (s *Instance) Health() Health {
-	switch {
-	case s.lameduck.Load():
-		return LameDuck
-	case s.circuitOpen.Load():
-		return Degraded
-	default:
-		return Healthy
+// CircuitOpen reports whether the breaker has opened: the mesh path is
+// distrusted, and batches fail fast (DisableOracle) or degrade to the
+// oracle until a Canary closes the circuit.
+func (s *Instance) CircuitOpen() bool { return s.circuitOpen.Load() }
+
+// Canary runs one audited canary round per enabled kind on the executor
+// goroutine — queued behind the round in flight, since that goroutine alone
+// touches the mesh — and closes the circuit when every answer matches the
+// host oracle. It returns nil when the canary passed, the round's fault or
+// a mismatch error when it failed, ErrClosed once Shutdown has begun, and
+// ctx's error if ctx ends first. The fleet's prober is its only caller
+// outside tests.
+func (s *Instance) Canary(ctx context.Context) error {
+	s.mu.RLock()
+	closed := s.closed
+	s.mu.RUnlock()
+	if closed {
+		return ErrClosed
+	}
+	done := make(chan error, 1)
+	select {
+	case s.canaries <- done:
+	case <-s.done:
+		return ErrClosed
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	select {
+	case err := <-done:
+		return err
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -544,20 +550,15 @@ func (s *Instance) QueueCap() int {
 // RetryAfterHint estimates how long a rejected (or routed-around) client
 // should wait before retrying this instance: the time for the current
 // admission backlog to drain, at one fill window per queued round, with a
-// floor of one window — or the canary interval while the circuit is open,
-// when recovery is canary-bound rather than queue-bound. The fleet's
-// backpressure signal takes the minimum of this hint across healthy
-// replicas, so a 429 reflects the soonest any replica could accept work.
+// floor of one window. The fleet's backpressure signal takes the minimum of
+// this hint across healthy replicas, so a 429 reflects the soonest any
+// replica could accept work.
 func (s *Instance) RetryAfterHint() time.Duration {
 	per := s.cfg.Linger
 	if per <= 0 {
 		per = time.Millisecond
 	}
-	hint := time.Duration(s.QueueLen()/s.maxBatch+1) * per
-	if s.circuitOpen.Load() && s.canaryEvery > hint {
-		hint = s.canaryEvery
-	}
-	return hint
+	return time.Duration(s.QueueLen()/s.maxBatch+1) * per
 }
 
 // observeStepRatio feeds one completed mesh attempt into the ns/step EWMA
@@ -820,10 +821,10 @@ func (s *Instance) collect(kr *kindRuntime) {
 	}
 }
 
-// execute serves batches until every collector drains, waking for idle
-// canary probes while the circuit is open. It is the only goroutine that
-// touches the mesh, which is what makes the recovery ladder's audit and
-// budget toggling and breaker bookkeeping lock-free.
+// execute serves batches and Canary requests until every collector drains.
+// It is the only goroutine that touches the mesh, which is what makes the
+// recovery ladder's audit and budget toggling and breaker bookkeeping
+// lock-free.
 func (s *Instance) execute() {
 	defer close(s.done)
 	for {
@@ -833,30 +834,8 @@ func (s *Instance) execute() {
 				return
 			}
 			s.serveBatch(b.kr, b.reqs)
-		case <-s.nudge:
-			if s.circuitOpen.Load() && !s.lameduck.Load() && s.canaryDue() {
-				s.runCanary()
-			}
-		}
-	}
-}
-
-// canaryTicker nudges the executor every CanaryInterval while the circuit
-// is open, so a degraded server recovers even with no traffic arriving.
-func (s *Instance) canaryTicker() {
-	t := time.NewTicker(s.canaryEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if s.circuitOpen.Load() && !s.lameduck.Load() {
-				select {
-				case s.nudge <- struct{}{}:
-				default:
-				}
-			}
-		case <-s.done:
-			return
+		case done := <-s.canaries:
+			done <- s.runCanary()
 		}
 	}
 }
@@ -874,7 +853,6 @@ func (s *Instance) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	s.closed = true
-	s.lameduck.Store(true) // /healthz flips to 503 while the drain runs
 	for _, k := range s.kinds {
 		close(s.kr[k].queue)
 	}
@@ -918,7 +896,6 @@ func (s *Instance) Stats() Stats {
 		FaultsCanceled:  s.faults[core.FaultCanceled].Load(),
 		FaultsPanic:     s.faults[core.FaultPanic].Load(),
 		FaultsOther:     s.faults[core.FaultOther].Load(),
-		Health:          s.Health().String(),
 		Latency:         s.lat.Snapshot().Summary(),
 		LatencyMesh:     s.latMesh.Snapshot().Summary(),
 		LatencyDegraded: s.latDegraded.Snapshot().Summary(),
