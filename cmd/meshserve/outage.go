@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -107,10 +108,13 @@ func parseReplicaRef(s string, replicas int) (int, error) {
 	return idx, nil
 }
 
+// parseFactor parses a slowdown factor: a finite number above 1, with an
+// optional x suffix. NaN and infinity would turn the injected delay into a
+// negative duration, and the outage would never happen.
 func parseFactor(s string) (float64, error) {
 	f, err := strconv.ParseFloat(strings.TrimSuffix(s, "x"), 64)
-	if err != nil || f <= 1 {
-		return 0, fmt.Errorf("bad slowdown factor %q (want e.g. 10x, > 1)", s)
+	if err != nil || !(f > 1) || math.IsInf(f, 1) {
+		return 0, fmt.Errorf("bad slowdown factor %q (want e.g. 10x, finite and > 1)", s)
 	}
 	return f, nil
 }

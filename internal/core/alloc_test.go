@@ -39,7 +39,7 @@ func cycleInstance(side int) *Instance {
 	}
 	// The successor never finishes and Visit assigns CurLevel = Level+1 = 1,
 	// so advanceRange(lo=0, hi=2) keeps every query eligible forever.
-	never := func(v graph.Vertex, q *Query) (int, bool) { return 0, false }
+	never := func(v *graph.Vertex, q *Query) (int, bool) { return 0, false }
 	in := NewInstance(m, g, qs, never)
 	in.Prime(m.Root())
 	return in

@@ -92,9 +92,8 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 
 	// Step 1: mark queries sitting in some G_i.
 	endClassify := trace.Span(v, "classify")
-	mesh.Apply(v, in.Queries, func(_ int, q Query) Query {
+	mesh.Apply(v, in.Queries, func(_ int, q *Query) {
 		q.Mark = q.ID != NoQuery && !q.Done && q.partFor(slot) != graph.NoPart
-		return q
 	})
 
 	// Step 2: per-part marked-query counts, Γ_i, and slot offsets.
@@ -174,13 +173,13 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 			}
 			return 0, false
 		},
-		func(i int) dirEntry { return dirVals[i] },
+		func(i int) *dirEntry { return &dirVals[i] },
 		func(i int) (int32, bool) {
 			nd := mesh.Ref(v, in.Nodes, i)
 			p := slot.PartOf(nd)
 			return p, nd.ID != graph.Nil && p != graph.NoPart
 		},
-		func(i int, e dirEntry, found bool) {
+		func(i int, e *dirEntry, found bool) {
 			if found {
 				nodeGamma[i] = e.gamma
 				nodeBase[i] = e.base
@@ -288,7 +287,7 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 	}
 	for _, p := range place {
 		copies, _ := in.layer(int(p.layer))
-		mesh.Set(v, copies, int(p.cell), mesh.At(v, in.Nodes, int(p.src)))
+		*mesh.Ref(v, copies, int(p.cell)) = *mesh.Ref(v, in.Nodes, int(p.src))
 	}
 	v.Charge(1)
 	endExpand()
@@ -313,7 +312,7 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 	mesh.SortScratch(v, qp, 1, func(p qplaced) uint64 { return mesh.Key2(p.layer, p.cell) })
 	for _, p := range qp {
 		_, staged := in.layer(int(p.layer))
-		mesh.Set(v, staged, int(p.cell), mesh.At(v, in.Queries, int(p.origin)))
+		*mesh.Ref(v, staged, int(p.cell)) = *mesh.Ref(v, in.Queries, int(p.origin))
 	}
 	v.Charge(1)
 	endPlace()
@@ -329,19 +328,19 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 	v.RunParallel(subs, func(si int, sub mesh.View) {
 		for l := 0; l < layers; l++ {
 			copies, staged := in.layer(l)
-			live := mesh.Count(sub, staged, func(q Query) bool { return q.ID != NoQuery && q.Mark })
+			live := mesh.Count(sub, staged, func(q *Query) bool { return q.ID != NoQuery && q.Mark })
 			for it := 0; it < steps && live > 0; it++ {
 				mesh.RAR(sub,
 					func(i int) (graph.VertexID, bool) {
 						id := mesh.Ref(sub, copies, i).ID
 						return id, id != graph.Nil
 					},
-					func(i int) graph.Vertex { return mesh.At(sub, copies, i) },
+					func(i int) *graph.Vertex { return mesh.Ref(sub, copies, i) },
 					func(i int) (graph.VertexID, bool) {
 						q := mesh.Ref(sub, staged, i)
 						return q.Cur, q.ID != NoQuery && q.Mark
 					},
-					func(i int, nd graph.Vertex, found bool) {
+					func(i int, nd *graph.Vertex, found bool) {
 						q := mesh.Ref(sub, staged, i)
 						if !found {
 							panic(fmt.Sprintf("core: staged query %d missing vertex %d in its δ-submesh copy", q.ID, q.Cur))
@@ -367,15 +366,14 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 	endReturn := trace.Span(v, "return")
 	for l := 0; l < st.Layers; l++ {
 		copies, staged := in.layer(l)
-		mesh.RouteTo(v, staged, in.Queries, func(_ int, q Query) (int, bool) {
+		mesh.RouteTo(v, staged, in.Queries, func(_ int, q *Query) (int, bool) {
 			return int(q.ID), q.ID != NoQuery
 		})
 		mesh.Fill(v, staged, emptyQuery)
 		mesh.Fill(v, copies, emptyVertex)
 	}
-	mesh.Apply(v, in.Queries, func(_ int, q Query) Query {
+	mesh.Apply(v, in.Queries, func(_ int, q *Query) {
 		q.Mark = false
-		return q
 	})
 	endReturn()
 	return st

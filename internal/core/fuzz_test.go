@@ -47,7 +47,7 @@ func randomAlphaGraph(kH, kT, maxPart int, rng *rand.Rand) (*graph.Graph, int) {
 }
 
 // boundedWalk walks pseudorandomly for State[StateKey] steps.
-func boundedWalk(v graph.Vertex, q *core.Query) (int, bool) {
+func boundedWalk(v *graph.Vertex, q *core.Query) (int, bool) {
 	q.State[1] = q.State[1]*1000003 + int64(v.ID) + 1
 	if int64(q.Steps) >= q.State[0] || v.Deg == 0 {
 		return 0, true

@@ -67,8 +67,18 @@ func MultisearchHDag(v mesh.View, in *Instance, plan *HDagPlan) HDagStats {
 	st.StarLevels = plan.H - plan.StarLo + 1
 	m := in.M
 	regs := in.algorithm1Regs()
-	for _, r := range []*mesh.Reg[graph.Vertex]{regs.stage, regs.store1, regs.store2, regs.work, regs.phase1} {
-		mesh.Fill(v, r, emptyVertex)
+	scratch := []*mesh.Reg[graph.Vertex]{regs.stage, regs.store1, regs.store2, regs.work, regs.phase1}
+	if plan.S > 0 || m.Audit() || m.Injector() != nil {
+		for _, r := range scratch {
+			mesh.Fill(v, r, emptyVertex)
+		}
+	} else {
+		// With no blocks below B* nothing reads the scratch registers, and
+		// with faults and audit off a Fill's sweep decides nothing: charge
+		// each Fill's one local step without sweeping (DESIGN.md §3.1).
+		for range scratch {
+			v.Charge(1)
+		}
 	}
 	in.Prime(v)
 
@@ -76,9 +86,9 @@ func MultisearchHDag(v mesh.View, in *Instance, plan *HDagPlan) HDagStats {
 		// Step 1: labels. One O(1)-local pass per i (log* h passes total).
 		endStep1 := trace.Span(v, "step1:labels")
 		side := m.Side()
-		mesh.Apply(v, regs.labels, func(local int, _ int8) int8 {
+		mesh.Apply(v, regs.labels, func(local int, label *int8) {
 			g := v.Global(local)
-			return int8(plan.LabelAt(g/side, g%side))
+			*label = int8(plan.LabelAt(g/side, g%side))
 		})
 		v.Charge(int64(plan.S - 1)) // Apply charged 1; step 1 is S passes
 		endStep1()
@@ -87,7 +97,7 @@ func MultisearchHDag(v mesh.View, in *Instance, plan *HDagPlan) HDagStats {
 		// concentrated in row-major order. One copy + one concentrate.
 		endStage := trace.Span(v, "step2:stage")
 		mesh.Fill(v, regs.stage, emptyVertex)
-		mesh.RouteTo(v, in.Nodes, regs.stage, func(i int, nd graph.Vertex) (int, bool) {
+		mesh.RouteTo(v, in.Nodes, regs.stage, func(i int, nd *graph.Vertex) (int, bool) {
 			return i, nd.ID != graph.Nil && int(nd.Level) <= plan.Blocks[plan.S-1].Hi
 		})
 		mesh.Concentrate(v, regs.stage, emptyVertex, func(nd graph.Vertex) bool {
@@ -170,9 +180,9 @@ func distributeToLabels(delta mesh.View, regs *hdagRegs, plan *HDagPlan, i int) 
 	size := delta.Size()
 	recs := mesh.Checkout[graph.Vertex](m, size)[:0]
 	for j := 0; j < size; j++ {
-		nd := mesh.At(delta, regs.stage, j)
+		nd := mesh.Ref(delta, regs.stage, j)
 		if nd.ID != graph.Nil && int(nd.Level) >= blk.Lo && int(nd.Level) <= blk.Hi {
-			recs = append(recs, nd)
+			recs = append(recs, *nd)
 		}
 	}
 	if len(recs) != blk.Count {
@@ -190,11 +200,11 @@ func distributeToLabels(delta mesh.View, regs *hdagRegs, plan *HDagPlan, i int) 
 		panic(fmt.Sprintf("core: B_%d: %d records onto %d label-%d processors", i, len(recs), len(slots), i))
 	}
 	mesh.SortScratch(delta, recs, 1, byID)
-	for r, nd := range recs {
+	for r := range recs {
 		if r < len(slots) {
-			mesh.Set(delta, regs.store1, int(slots[r]), nd)
+			*mesh.Ref(delta, regs.store1, int(slots[r])) = recs[r]
 		} else {
-			mesh.Set(delta, regs.store2, int(slots[r-len(slots)]), nd)
+			*mesh.Ref(delta, regs.store2, int(slots[r-len(slots)])) = recs[r]
 		}
 	}
 	mesh.Release(m, slots)
@@ -212,7 +222,7 @@ func pushUnionDown(delta mesh.View, regs *hdagRegs, unionHi int, childGrid int) 
 	m := delta.Mesh()
 	block := mesh.Checkout[graph.Vertex](m, n)
 	for j := 0; j < n; j++ {
-		block[j] = mesh.At(delta, regs.stage, j)
+		block[j] = *mesh.Ref(delta, regs.stage, j)
 	}
 	children := delta.Partition(childGrid, childGrid)
 	mesh.BroadcastBlock(delta, regs.stage, block, children)
@@ -228,13 +238,13 @@ func replicateBi(delta mesh.View, regs *hdagRegs, plan *HDagPlan, i int) {
 	size := delta.Size()
 	recs := mesh.Checkout[graph.Vertex](m, 2*size)[:0]
 	for j := 0; j < size; j++ {
-		if nd := mesh.At(delta, regs.store1, j); nd.ID != graph.Nil && int(nd.Level) >= blk.Lo && int(nd.Level) <= blk.Hi {
-			recs = append(recs, nd)
+		if nd := mesh.Ref(delta, regs.store1, j); nd.ID != graph.Nil && int(nd.Level) >= blk.Lo && int(nd.Level) <= blk.Hi {
+			recs = append(recs, *nd)
 		}
 	}
 	for j := 0; j < size; j++ {
-		if nd := mesh.At(delta, regs.store2, j); nd.ID != graph.Nil && int(nd.Level) >= blk.Lo && int(nd.Level) <= blk.Hi {
-			recs = append(recs, nd)
+		if nd := mesh.Ref(delta, regs.store2, j); nd.ID != graph.Nil && int(nd.Level) >= blk.Lo && int(nd.Level) <= blk.Hi {
+			recs = append(recs, *nd)
 		}
 	}
 	if len(recs) != blk.Count {
@@ -263,8 +273,8 @@ func solveLemma1(sub mesh.View, in *Instance, regs *hdagRegs, blk HDagBlock) int
 		size := sub.Size()
 		block1 := mesh.Checkout[graph.Vertex](m, size)[:0]
 		for j := 0; j < size; j++ {
-			if nd := mesh.At(sub, regs.work, j); nd.ID != graph.Nil && int(nd.Level) <= blk.P1Hi && int(nd.Level) >= blk.Lo {
-				block1 = append(block1, nd)
+			if nd := mesh.Ref(sub, regs.work, j); nd.ID != graph.Nil && int(nd.Level) <= blk.P1Hi && int(nd.Level) >= blk.Lo {
+				block1 = append(block1, *nd)
 			}
 		}
 		mesh.SortScratch(sub, block1, 1, byID)
@@ -307,12 +317,12 @@ func advanceRange(v mesh.View, in *Instance, nodes *mesh.Reg[graph.Vertex], lo, 
 			id := mesh.Ref(v, nodes, i).ID
 			return id, id != graph.Nil
 		},
-		func(i int) graph.Vertex { return mesh.At(v, nodes, i) },
+		func(i int) *graph.Vertex { return mesh.Ref(v, nodes, i) },
 		func(i int) (graph.VertexID, bool) {
 			q := mesh.Ref(v, in.Queries, i)
 			return q.Cur, q.ID != NoQuery && !q.Done && int(q.CurLevel) >= lo && int(q.CurLevel) <= hi
 		},
-		func(i int, nd graph.Vertex, found bool) {
+		func(i int, nd *graph.Vertex, found bool) {
 			q := mesh.Ref(v, in.Queries, i)
 			if !found {
 				panic(fmt.Sprintf("core: query %d: vertex %d (level %d) missing from its submesh copy", q.ID, q.Cur, q.CurLevel))

@@ -29,7 +29,7 @@ func ComputeLevels(v mesh.View, in *Instance) []int32 {
 	}
 	work := mesh.NewReg[graph.Vertex](in.M)
 	mesh.Fill(v, work, emptyVertex)
-	mesh.RouteTo(v, in.Nodes, work, func(i int, nd graph.Vertex) (int, bool) {
+	mesh.RouteTo(v, in.Nodes, work, func(i int, nd *graph.Vertex) (int, bool) {
 		return i, nd.ID != graph.Nil
 	})
 	remaining := mesh.Concentrate(v, work, emptyVertex, func(nd graph.Vertex) bool {
@@ -59,7 +59,7 @@ func ComputeLevels(v mesh.View, in *Instance) []int32 {
 					id := mesh.Ref(cur, work, i).ID
 					return id, id != graph.Nil
 				},
-				func(int) bool { return true },
+				func(i int) *graph.Vertex { return mesh.Ref(cur, work, i) },
 				func(i int) (graph.VertexID, bool) {
 					nd := mesh.Ref(cur, work, i)
 					if nd.ID == graph.Nil || slot >= int(nd.Deg) {
@@ -67,7 +67,7 @@ func ComputeLevels(v mesh.View, in *Instance) []int32 {
 					}
 					return nd.Adj[slot], true
 				},
-				func(i int, _ bool, found bool) {
+				func(i int, _ *graph.Vertex, found bool) {
 					if found && i < len(ready) {
 						ready[i] = false
 					}

@@ -37,7 +37,7 @@ func Oracle(g *graph.Graph, queries []Query, f Successor, maxSteps int) []Query 
 			if q.Cur < 0 || int(q.Cur) >= g.N() {
 				panic(fmt.Sprintf("core: oracle query %d reached invalid vertex %d", i, q.Cur))
 			}
-			Visit(f, g.Verts[q.Cur], &q)
+			Visit(f, &g.Verts[q.Cur], &q)
 		}
 		out[i] = q
 	}

@@ -52,11 +52,13 @@ const NoQuery int32 = -1
 // query q, it may update q.State and returns the adjacency slot of the next
 // vertex, or done=true if the search path ends at v. Returning an edge
 // outside [0, v.Deg) is a programming error and panics during the visit.
-type Successor func(v graph.Vertex, q *Query) (edge int, done bool)
+// v points at the vertex where it lies — a cell of a node register, or the
+// host graph's record — so a successor must not write through it.
+type Successor func(v *graph.Vertex, q *Query) (edge int, done bool)
 
 // Visit performs one search step: query q visits vertex v. It increments
 // Steps, applies the successor, and maintains Cur/CurPart/CurPart2/CurLevel.
-func Visit(f Successor, v graph.Vertex, q *Query) {
+func Visit(f Successor, v *graph.Vertex, q *Query) {
 	q.Steps++
 	edge, done := f(v, q)
 	if done {
@@ -197,12 +199,12 @@ func (in *Instance) Prime(v mesh.View) {
 			id := mesh.Ref(v, in.Nodes, i).ID
 			return id, id != graph.Nil
 		},
-		func(i int) graph.Vertex { return mesh.At(v, in.Nodes, i) },
+		func(i int) *graph.Vertex { return mesh.Ref(v, in.Nodes, i) },
 		func(i int) (graph.VertexID, bool) {
 			q := mesh.Ref(v, in.Queries, i)
 			return q.Cur, q.ID != NoQuery && !q.Done
 		},
-		func(i int, nd graph.Vertex, found bool) {
+		func(i int, nd *graph.Vertex, found bool) {
 			if !found {
 				panic(fmt.Sprintf("core: query at %d starts at unknown vertex", i))
 			}
@@ -223,12 +225,12 @@ func (in *Instance) GlobalStep(v mesh.View) int {
 			id := mesh.Ref(v, in.Nodes, i).ID
 			return id, id != graph.Nil
 		},
-		func(i int) graph.Vertex { return mesh.At(v, in.Nodes, i) },
+		func(i int) *graph.Vertex { return mesh.Ref(v, in.Nodes, i) },
 		func(i int) (graph.VertexID, bool) {
 			q := mesh.Ref(v, in.Queries, i)
 			return q.Cur, q.ID != NoQuery && !q.Done
 		},
-		func(i int, nd graph.Vertex, found bool) {
+		func(i int, nd *graph.Vertex, found bool) {
 			if !found {
 				panic(fmt.Sprintf("core: query at %d visits unknown vertex", i))
 			}
@@ -240,7 +242,7 @@ func (in *Instance) GlobalStep(v mesh.View) int {
 
 // Unfinished counts the queries that have not completed their search paths.
 func (in *Instance) Unfinished(v mesh.View) int {
-	return mesh.Count(v, in.Queries, func(q Query) bool {
+	return mesh.Count(v, in.Queries, func(q *Query) bool {
 		return q.ID != NoQuery && !q.Done
 	})
 }

@@ -68,7 +68,7 @@ func TestHDagParallelismDeterminism(t *testing.T) {
 
 func TestSuccessorReturningInvalidEdgePanics(t *testing.T) {
 	tr, _ := buildAlphaTree(8, 4)
-	bad := func(v graph.Vertex, q *core.Query) (int, bool) {
+	bad := func(v *graph.Vertex, q *core.Query) (int, bool) {
 		return int(v.Deg) + 3, false // out of range
 	}
 	qs := workload.KeySearchQueries(5, 16, tr.Root(), 1, rand.New(rand.NewSource(52)))
@@ -100,7 +100,7 @@ func TestNonTerminatingSearchCaught(t *testing.T) {
 	// A successor that never finishes on a cyclic graph: the log-phase
 	// driver's maxPhases guard must fire.
 	g := workload.CycleGraph(4, 16)
-	forever := func(v graph.Vertex, q *core.Query) (int, bool) { return 0, false }
+	forever := func(v *graph.Vertex, q *core.Query) (int, bool) { return 0, false }
 	qs := workload.WalkQueries(10, 1<<30, g.N(), rand.New(rand.NewSource(53)))
 	m := mesh.New(8)
 	in := core.NewInstance(m, g, qs, forever)
@@ -114,7 +114,7 @@ func TestNonTerminatingSearchCaught(t *testing.T) {
 
 func TestSynchronousMaxStepsGuard(t *testing.T) {
 	g := workload.CycleGraph(4, 16)
-	forever := func(v graph.Vertex, q *core.Query) (int, bool) { return 0, false }
+	forever := func(v *graph.Vertex, q *core.Query) (int, bool) { return 0, false }
 	qs := workload.WalkQueries(10, 1<<30, g.N(), rand.New(rand.NewSource(54)))
 	m := mesh.New(8)
 	in := core.NewInstance(m, g, qs, forever)
@@ -155,12 +155,12 @@ func TestVisitBookkeeping(t *testing.T) {
 	tr, _ := buildAlphaTree(8, 4)
 	var q core.Query
 	q.Cur = tr.Root()
-	core.Visit(workload.KeySearchSuccessor, tr.Verts[tr.Root()], &q)
+	core.Visit(workload.KeySearchSuccessor, &tr.Verts[tr.Root()], &q)
 	if q.Steps != 1 || q.Done || q.CurLevel != 1 {
 		t.Fatalf("after visit: %+v", q)
 	}
 	// Visit a leaf: Done with cleared position.
-	leaf := tr.Verts[tr.N()-1]
+	leaf := &tr.Verts[tr.N()-1]
 	core.Visit(workload.KeySearchSuccessor, leaf, &q)
 	if !q.Done || q.Cur != graph.Nil || q.CurPart != graph.NoPart || q.CurLevel != -1 {
 		t.Fatalf("after leaf visit: %+v", q)

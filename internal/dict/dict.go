@@ -213,7 +213,7 @@ func childFor(v *graph.Vertex, needle int64) int {
 }
 
 // Successor drives one batched lookup step.
-func Successor(v graph.Vertex, q *core.Query) (int, bool) {
+func Successor(v *graph.Vertex, q *core.Query) (int, bool) {
 	q.State[stateDigest] = q.State[stateDigest]*1000003 + int64(v.ID) + 1
 	if v.Data[dataLeaf] == 1 {
 		q.State[StateLeafKey] = v.Data[0]
@@ -222,7 +222,7 @@ func Successor(v graph.Vertex, q *core.Query) (int, bool) {
 		}
 		return 0, true
 	}
-	return childFor(&v, q.State[stateNeedle]), false
+	return childFor(v, q.State[stateNeedle]), false
 }
 
 // NewQueries builds membership queries for the needles.

@@ -14,15 +14,26 @@ func intKey(x int) uint64 { return uint64(x) ^ 1<<63 }
 func workload(m *mesh.Mesh) {
 	v := m.Root()
 	r := mesh.NewReg[int](m)
-	mesh.Apply(v, r, func(i int, _ int) int { return (i * 2654435761) % 1009 })
+	mesh.Apply(v, r, func(i int, cur *int) { *cur = (i * 2654435761) % 1009 })
 	mesh.Sort(v, r, intKey)
 	mesh.Scan(v, r, func(a, b int) int { return a + b })
+	rar(m)
+}
+
+// rar is one full-mesh RAR in which every processor reads the record of the
+// processor five ahead; record i holds 3·i.
+func rar(m *mesh.Mesh) {
+	v := m.Root()
 	n := v.Size()
+	vals := make([]int, n)
+	for i := range vals {
+		vals[i] = i * 3
+	}
 	mesh.RAR(v,
 		func(i int) (int32, bool) { return int32(i), true },
-		func(i int) int { return i * 3 },
+		func(i int) *int { return &vals[i] },
 		func(i int) (int32, bool) { return int32((i + 5) % n), true },
-		func(i int, val int, found bool) {})
+		func(int, *int, bool) {})
 }
 
 // TestChaosEveryFaultClassIsCaught drives one fault class at a time at
@@ -144,15 +155,6 @@ func TestChaosScanVariantsAreCaught(t *testing.T) {
 // and the audit must flag every such run. Seed decisions are pure integer
 // arithmetic, so which seeds produce the edge is deterministic.
 func TestChaosDropEqualsDupSrcEdge(t *testing.T) {
-	rar := func(m *mesh.Mesh) {
-		v := m.Root()
-		n := v.Size()
-		mesh.RAR(v,
-			func(i int) (int32, bool) { return int32(i), true },
-			func(i int) int { return i * 3 },
-			func(i int) (int32, bool) { return int32((i + 5) % n), true },
-			func(i int, val int, found bool) {})
-	}
 	edges := 0
 	for seed := int64(1); seed <= 256; seed++ {
 		inj := New(Config{Seed: seed, PDrop: 1, PDup: 1, Limit: 2})

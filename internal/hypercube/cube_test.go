@@ -125,9 +125,9 @@ func TestQuickRARMatchesGather(t *testing.T) {
 				return 0, 0, false
 			},
 			func(i int) (int32, bool) { return int32(reqKeys[i] % 8), true },
-			func(i int, val int, found bool) {
+			func(i int, val *int, found bool) {
 				want, exists := ref[int32(reqKeys[i]%8)]
-				if found != exists || (found && val != want) {
+				if found != exists || (found && *val != want) {
 					ok = false
 				}
 			})

@@ -11,11 +11,13 @@ import (
 // RAR is the hypercube random-access read with concurrent reads, identical
 // in structure to the mesh version (sort the combined bank by key, copy-scan
 // record values across their requests, sort the requests back). Cost:
-// 1 double-sort + 1 double-scan + 1 single sort.
+// 1 double-sort + 1 double-scan + 1 single sort. deliver reads the value in
+// the sorted bank through its pointer (nil when the key has no record) and
+// must not write through it.
 func RAR[K cmp.Ordered, V any](c *Cube,
 	record func(i int) (key K, val V, ok bool),
 	request func(i int) (key K, ok bool),
-	deliver func(i int, val V, found bool),
+	deliver func(i int, val *V, found bool),
 ) {
 	type item struct {
 		key    K
@@ -55,8 +57,13 @@ func RAR[K cmp.Ordered, V any](c *Cube,
 		}
 	}
 	sortSlice(c, reqs, 1, func(a, b item) bool { return a.origin < b.origin })
-	for _, it := range reqs {
-		deliver(int(it.origin), it.val, it.found)
+	for i := range reqs {
+		it := &reqs[i]
+		var val *V
+		if it.found {
+			val = &it.val
+		}
+		deliver(int(it.origin), val, it.found)
 	}
 	c.Charge(1)
 }
@@ -131,7 +138,7 @@ func (in *Instance) GlobalStep() int {
 			q := At(in.Queries, i)
 			return q.Cur, q.ID != core.NoQuery && !q.Done
 		},
-		func(i int, nd graph.Vertex, found bool) {
+		func(i int, nd *graph.Vertex, found bool) {
 			if !found {
 				panic(fmt.Sprintf("hypercube: query at %d visits unknown vertex", i))
 			}

@@ -153,7 +153,7 @@ func (ct *CountTree) InstallSplitter() int {
 // strictly below the needle, descending by the routing key (the minimum of
 // the right subtree). Going right banks the left subtree's count; a real
 // leaf banks itself.
-func CountSuccessor(v graph.Vertex, q *core.Query) (int, bool) {
+func CountSuccessor(v *graph.Vertex, q *core.Query) (int, bool) {
 	q.State[ctStateDigest] = q.State[ctStateDigest]*1000003 + int64(v.ID) + 1
 	needle := q.State[ctStateNeedle]
 	if v.Deg == 0 { // leaf

@@ -178,7 +178,7 @@ func (st *SearchTree) InstallSplitters() (s1, s2 graph.Splitting) {
 // arrives at a vertex, decides locally (using the vertex payload and the
 // remembered previous vertex) whether to descend left, descend right, or
 // retreat to the parent, and counts the intersecting intervals it meets.
-func Successor(v graph.Vertex, q *core.Query) (int, bool) {
+func Successor(v *graph.Vertex, q *core.Query) (int, bool) {
 	lo, hi := q.State[stateLo], q.State[stateHi]
 	prev := graph.VertexID(q.State[statePrev])
 	q.State[statePrev] = int64(v.ID)

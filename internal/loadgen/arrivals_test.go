@@ -129,10 +129,18 @@ func TestParseSchedule(t *testing.T) {
 			t.Fatalf("phase %d = %+v, want %+v", i, s[i], want[i])
 		}
 	}
-	for _, bad := range []string{"", "abc", "100xnope", "-5", "0x1s", "100x0s"} {
+	for _, bad := range []string{"", "abc", "100xnope", "-5", "0x1s", "100x0s",
+		// Non-finite rates would emit one arrival per nanosecond.
+		"NaN,400", "Inf", "+Inf", "-Inf", "400,nan", "infinity",
+		// A total past time.Duration's range would wrap negative.
+		"1x2562047h,1x2562047h", "1x9223372036854775807ns,1x1ns"} {
 		if _, err := ParseSchedule(bad, time.Second); err == nil {
-			t.Fatalf("ParseSchedule(%q) accepted", bad)
+			t.Errorf("ParseSchedule(%q) accepted", bad)
 		}
+	}
+	// The longest representable schedule is still accepted.
+	if _, err := ParseSchedule("1x9223372036854775806ns,1x1ns", time.Second); err != nil {
+		t.Errorf("schedule of exactly the longest Duration rejected: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -16,7 +17,8 @@ import (
 // "membership:0.75,pointloc:0.25" describe the same mix.
 type KindMix struct {
 	kinds []serve.Kind
-	cum   []float64 // normalized cumulative weights, cum[len-1] == 1
+	share []float64 // normalized weights, each positive
+	cum   []float64 // cumulative shares, nondecreasing, cum[len-1] == 1
 }
 
 // ParseKindMix parses a mix spec: comma-separated kind:weight pairs
@@ -40,8 +42,8 @@ func ParseKindMix(spec string) (*KindMix, error) {
 		w := 1.0
 		if hasW {
 			w, err = strconv.ParseFloat(strings.TrimSpace(wstr), 64)
-			if err != nil || w <= 0 {
-				return nil, fmt.Errorf("loadgen: kind mix %q: weight for %s must be a positive number", spec, k)
+			if err != nil || !(w > 0) || math.IsInf(w, 1) {
+				return nil, fmt.Errorf("loadgen: kind mix %q: weight for %s must be a positive finite number", spec, k)
 			}
 		}
 		if seen[k] {
@@ -55,19 +57,25 @@ func ParseKindMix(spec string) (*KindMix, error) {
 	for _, w := range weights {
 		sum += w
 	}
-	m := &KindMix{kinds: kinds, cum: make([]float64, len(weights))}
+	if math.IsInf(sum, 1) {
+		return nil, fmt.Errorf("loadgen: kind mix %q: the weights' sum overflows", spec)
+	}
+	m := &KindMix{kinds: kinds, share: make([]float64, len(weights)), cum: make([]float64, len(weights))}
 	acc := 0.0
 	for i, w := range weights {
-		acc += w / sum
-		m.cum[i] = acc
+		if m.share[i] = w / sum; m.share[i] == 0 {
+			return nil, fmt.Errorf("loadgen: kind mix %q: weight for %s vanishes next to the others", spec, kinds[i])
+		}
+		acc += m.share[i]
+		m.cum[i] = min(acc, 1) // absorb rounding
 	}
-	m.cum[len(m.cum)-1] = 1 // absorb rounding
+	m.cum[len(m.cum)-1] = 1
 	return m, nil
 }
 
 // SingleKind is the degenerate mix: every draw returns k.
 func SingleKind(k serve.Kind) *KindMix {
-	return &KindMix{kinds: []serve.Kind{k}, cum: []float64{1}}
+	return &KindMix{kinds: []serve.Kind{k}, share: []float64{1}, cum: []float64{1}}
 }
 
 // Kinds lists the kinds in the mix, in spec order.
@@ -83,16 +91,15 @@ func (m *KindMix) Draw(rng *rand.Rand) serve.Kind {
 	return m.kinds[i]
 }
 
-// String renders the mix in parseable form.
+// String renders the mix in parseable form: every kind with its positive
+// normalized weight.
 func (m *KindMix) String() string {
 	var b strings.Builder
-	prev := 0.0
 	for i, k := range m.kinds {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s:%.3g", k, m.cum[i]-prev)
-		prev = m.cum[i]
+		fmt.Fprintf(&b, "%s:%.3g", k, m.share[i])
 	}
 	return b.String()
 }

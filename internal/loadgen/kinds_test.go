@@ -46,7 +46,13 @@ func TestParseKindMix(t *testing.T) {
 		t.Fatalf("weight normalization: %q vs %q", a.String(), b.String())
 	}
 
-	for _, bad := range []string{"bogus:1", "membership:-1", "membership:0", "membership:x", "membership:1,membership:2"} {
+	for _, bad := range []string{"bogus:1", "membership:-1", "membership:0", "membership:x", "membership:1,membership:2",
+		// Non-finite weights would draw one kind always and print NaN.
+		"membership:NaN,pointloc:1", "membership:Inf,pointloc:1", "membership:1,pointloc:+Inf",
+		// The sum overflows: every share would round to zero.
+		"membership:1e308,pointloc:1e308",
+		// A share below float64's range could never be drawn or printed.
+		"membership:5e-324,pointloc:1e308"} {
 		if _, err := ParseKindMix(bad); err == nil {
 			t.Errorf("ParseKindMix(%q) did not error", bad)
 		}

@@ -24,6 +24,7 @@ package loadgen
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -48,15 +49,21 @@ func (s Schedule) Total() time.Duration {
 	return t
 }
 
-// Validate rejects schedules the arrival process cannot play.
+// Validate rejects schedules the arrival process cannot play: a NaN or
+// infinite rate would emit an arrival every nanosecond, and a total length
+// past time.Duration's range would wrap negative and emit none.
 func (s Schedule) Validate() error {
 	if len(s) == 0 {
 		return fmt.Errorf("loadgen: empty schedule")
 	}
 	anyRate := false
+	var total time.Duration
 	for i, p := range s {
 		if p.Dur <= 0 {
 			return fmt.Errorf("loadgen: schedule phase %d has non-positive duration %v", i, p.Dur)
+		}
+		if math.IsNaN(p.Rate) || math.IsInf(p.Rate, 0) {
+			return fmt.Errorf("loadgen: schedule phase %d has non-finite rate %g", i, p.Rate)
 		}
 		if p.Rate < 0 {
 			return fmt.Errorf("loadgen: schedule phase %d has negative rate %g", i, p.Rate)
@@ -64,6 +71,10 @@ func (s Schedule) Validate() error {
 		if p.Rate > 0 {
 			anyRate = true
 		}
+		if total > math.MaxInt64-p.Dur {
+			return fmt.Errorf("loadgen: schedule is longer than %v", time.Duration(math.MaxInt64))
+		}
+		total += p.Dur
 	}
 	if !anyRate {
 		return fmt.Errorf("loadgen: schedule offers zero load everywhere")

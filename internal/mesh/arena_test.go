@@ -36,6 +36,7 @@ func TestRARAllocsSteadyState(t *testing.T) {
 	m := New(64)
 	v := m.Root()
 	verts := make([]graph.Vertex, m.N())
+	vals := cellValues(m.N(), func(i int) int64 { return int64(i) * 3 })
 	cases := []struct {
 		name  string
 		doRAR func()
@@ -43,17 +44,17 @@ func TestRARAllocsSteadyState(t *testing.T) {
 		{"int64", func() {
 			RAR(v,
 				func(i int) (int32, bool) { return int32(i), true },
-				func(i int) int64 { return int64(i) * 3 },
+				func(i int) *int64 { return &vals[i] },
 				func(i int) (int32, bool) { return int32((i * 7) % v.Size()), true },
-				func(i int, val int64, found bool) {},
+				func(i int, val *int64, found bool) {},
 			)
 		}},
 		{"graph.Vertex", func() {
 			RAR(v,
 				func(i int) (int32, bool) { return int32(i), true },
-				func(i int) graph.Vertex { return verts[i] },
+				func(i int) *graph.Vertex { return &verts[i] },
 				func(i int) (int32, bool) { return int32((i * 7) % v.Size()), true },
-				func(i int, val graph.Vertex, found bool) {},
+				func(i int, val *graph.Vertex, found bool) {},
 			)
 		}},
 	}
@@ -127,14 +128,14 @@ func TestChargedSortsAllocFree(t *testing.T) {
 		}},
 		{"Route", func() {
 			Load(v, r, src)
-			Route(v, r, -1, func(i int, _ int64) (int, bool) { return perm(i), true })
+			Route(v, r, -1, func(i int, _ *int64) (int, bool) { return perm(i), true })
 		}},
 		{"RAR", func() {
 			RAR(v,
 				func(i int) (int32, bool) { return int32(i), true },
-				func(i int) int64 { return src[i] },
+				func(i int) *int64 { return &src[i] },
 				func(i int) (int32, bool) { return int32(perm(i)), true },
-				func(int, int64, bool) {})
+				func(int, *int64, bool) {})
 		}},
 		{"RAW", func() {
 			RAW(v,
@@ -170,9 +171,9 @@ func TestRunParallelPooledStress(t *testing.T) {
 			// RAR: every processor reads the record keyed by its mirror.
 			RAR(sub,
 				func(i int) (int32, bool) { return int32(i), true },
-				func(i int) int64 { return At(sub, r, i) },
+				func(i int) *int64 { return Ref(sub, r, i) },
 				func(i int) (int32, bool) { return int32(sub.Size() - 1 - i), true },
-				func(i int, val int64, found bool) {
+				func(i int, val *int64, found bool) {
 					if !found {
 						t.Errorf("sub %d: RAR miss at %d", idx, i)
 					}
@@ -198,13 +199,14 @@ func TestRunParallelPooledStress(t *testing.T) {
 func BenchmarkRARSteadyState(b *testing.B) {
 	m := New(64)
 	v := m.Root()
+	vals := cellValues(m.N(), func(i int) int64 { return int64(i) * 3 })
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		RAR(v,
 			func(i int) (int32, bool) { return int32(i), true },
-			func(i int) int64 { return int64(i) * 3 },
+			func(i int) *int64 { return &vals[i] },
 			func(i int) (int32, bool) { return int32((i * 7) % v.Size()), true },
-			func(i int, val int64, found bool) {},
+			func(i int, val *int64, found bool) {},
 		)
 	}
 }

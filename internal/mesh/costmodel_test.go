@@ -24,11 +24,12 @@ func TestTheoreticalNeverExceedsCounted(t *testing.T) {
 				return m.Steps()
 			}},
 			{"rar", func(m *Mesh) int64 {
+				vals := cellValues(m.N(), func(i int) int { return i })
 				RAR(m.Root(),
 					func(i int) (int32, bool) { return int32(i), true },
-					func(i int) int { return i },
+					func(i int) *int { return &vals[i] },
 					func(i int) (int32, bool) { return int32(i), true },
-					func(i, v int, ok bool) {})
+					func(int, *int, bool) {})
 				return m.Steps()
 			}},
 			{"raw", func(m *Mesh) int64 {

@@ -53,7 +53,7 @@ func (s *stubInjector) DuplicateReply(replies int) (int, int, bool) {
 func sortWorkload(m *Mesh) {
 	v := m.Root()
 	r := NewReg[int](m)
-	Apply(v, r, func(i int, _ int) int { return (i * 7919) % 101 })
+	Apply(v, r, func(i int, cur *int) { *cur = (i * 7919) % 101 })
 	Sort(v, r, intKey)
 	Scan(v, r, func(a, b int) int { return a + b })
 }
@@ -62,11 +62,12 @@ func sortWorkload(m *Mesh) {
 func rarWorkload(m *Mesh) {
 	v := m.Root()
 	n := v.Size()
+	vals := cellValues(n, func(i int) int { return i * 3 })
 	RAR(v,
 		func(i int) (int32, bool) { return int32(i), true },
-		func(i int) int { return i * 3 },
+		func(i int) *int { return &vals[i] },
 		func(i int) (int32, bool) { return int32((i + 1) % n), true },
-		func(i int, val int, found bool) {})
+		func(int, *int, bool) {})
 }
 
 func TestBudgetExceededAbortsWithDominantClass(t *testing.T) {

@@ -65,7 +65,7 @@ var opClassDrivers = map[OpClass]struct {
 }{
 	OpLocal: {"Apply", 0, 1, func(m *Mesh) {
 		r := NewReg[int](m)
-		Apply(m.Root(), r, func(i, _ int) int { return i*7 + 11 })
+		Apply(m.Root(), r, func(i int, cur *int) { *cur = i*7 + 11 })
 	}},
 	OpSort: {"Sort", 0, 1, func(m *Mesh) {
 		r := NewReg[int](m)
@@ -142,11 +142,12 @@ var opClassDrivers = map[OpClass]struct {
 	OpRAR: {"RAR", 0, 1, func(m *Mesh) {
 		v := m.Root()
 		n := v.Size()
+		vals := cellValues(n, func(i int) int { return i * 5 })
 		RAR(v,
 			func(i int) (int32, bool) { return int32(i), true },
-			func(i int) int { return i * 5 },
+			func(i int) *int { return &vals[i] },
 			func(i int) (int32, bool) { return int32((i + 3) % n), true },
-			func(i, val int, found bool) {})
+			func(int, *int, bool) {})
 	}},
 	OpRAW: {"RAW", 0, 1, func(m *Mesh) {
 		v := m.Root()
@@ -267,12 +268,13 @@ func TestRARDropEqualsDupSrcEdgeIsCaught(t *testing.T) {
 	m := New(8, WithAudit(), WithInjector(inj))
 	v := m.Root()
 	n := v.Size()
+	vals := cellValues(n, func(i int) int { return i * 9 })
 	ae := catchAudit(func() {
 		RAR(v,
 			func(i int) (int32, bool) { return int32(i), true },
-			func(i int) int { return i * 9 },
+			func(i int) *int { return &vals[i] },
 			func(i int) (int32, bool) { return int32((i + 7) % n), true },
-			func(i, val int, found bool) {})
+			func(int, *int, bool) {})
 	})
 	if ae == nil {
 		t.Fatal("drop == dupSrc reply fault escaped the RAR audit")

@@ -211,6 +211,10 @@ func (m *Mesh) Budget() int64 { return m.budget }
 // boundary — and begin chaos only once serving rounds start.
 func (m *Mesh) SetInjector(inj Injector) { m.inj = inj }
 
+// Injector returns the installed fault injector, or nil when injection is
+// off.
+func (m *Mesh) Injector() Injector { return m.inj }
+
 // New creates a side×side mesh. side must be a positive power of two: the
 // recursive submesh partitionings of the multisearch algorithms require
 // every grid refinement to divide evenly.
@@ -296,14 +300,23 @@ func (v View) Origin() (row, col int) { return v.r0, v.c0 }
 // Global converts a local row-major index to the global row-major processor
 // index. local must lie in [0, Size()): an out-of-range local index would
 // silently address a processor outside the view — corrupting a neighbouring
-// submesh — so it panics instead.
+// submesh — so it panics instead. A view of whole rows (such as the root
+// view) maps local indices by an offset, and a view whose width is a power
+// of two (every Partition view) by a shift and a mask, without dividing.
 func (v View) Global(local int) int {
 	if local < 0 || local >= v.h*v.w {
 		panic(fmt.Sprintf("mesh: local index %d out of %dx%d view at origin (%d,%d)",
 			local, v.h, v.w, v.r0, v.c0))
 	}
-	r, c := local/v.w, local%v.w
-	return (v.r0+r)*v.m.side + (v.c0 + c)
+	switch w := v.w; {
+	case w == v.m.side:
+		return v.r0*w + local
+	case w&(w-1) == 0:
+		s := bits.TrailingZeros(uint(w))
+		return (v.r0+local>>s)*v.m.side + v.c0 + local&(w-1)
+	default:
+		return (v.r0+local/w)*v.m.side + v.c0 + local%w
+	}
 }
 
 // Local converts a global processor index to a local row-major index and

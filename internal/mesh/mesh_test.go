@@ -108,7 +108,7 @@ func TestFillAndApplyChargeOneStep(t *testing.T) {
 	if m.Steps() != 1 {
 		t.Fatalf("Fill cost %d", m.Steps())
 	}
-	Apply(v, r, func(i, cur int) int { return cur + i })
+	Apply(v, r, func(i int, cur *int) { *cur += i })
 	if m.Steps() != 2 {
 		t.Fatalf("Apply cost %d", m.Steps())
 	}
@@ -188,7 +188,7 @@ func TestRunParallelAllocsIndependentOfSpawns(t *testing.T) {
 		subs := v.Partition(2, 2)
 		call := func() {
 			v.RunParallel(subs, func(i int, sub View) {
-				Apply(sub, r, func(j int, _ int64) int64 { return int64((j*7919 + i) % 97) })
+				Apply(sub, r, func(j int, cur *int64) { *cur = int64((j*7919 + i) % 97) })
 				Sort(sub, r, int64Key)
 			})
 		}

@@ -27,26 +27,7 @@ import (
 // value.
 func Broadcast[T any](v View, r *Reg[T], src int) {
 	v = v.begin(OpBroadcast)
-	val := r.data[v.Global(src)]
-	stale, staleAt := corruptStale(v, "Broadcast", r)
-	n := v.Size()
-	for i := 0; i < n; i++ {
-		r.data[v.Global(i)] = val
-	}
-	if staleAt >= 0 {
-		r.data[v.Global(staleAt)] = stale
-	}
-	if v.m.audit {
-		for i := 0; i < n; i++ {
-			if !reflect.DeepEqual(r.data[v.Global(i)], val) {
-				panic(&AuditError{
-					Geom:   v.m.geometry(),
-					Op:     "Broadcast",
-					Detail: fmt.Sprintf("cell %d of %d differs from the broadcast value", i, n),
-				})
-			}
-		}
-	}
+	sweep(v, "Broadcast", r, r.data[v.Global(src)], "broadcast")
 	v.charge(OpBroadcast, v.broadcastCost())
 }
 
@@ -59,30 +40,36 @@ func Broadcast[T any](v View, r *Reg[T], src int) {
 // register file and compares.
 func Reduce[T any](v View, r *Reg[T], op func(a, b T) T) T {
 	v = v.begin(OpReduce)
-	n := v.Size()
-	acc := r.data[v.Global(0)]
-	for i := 1; i < n; i++ {
-		acc = op(acc, r.data[v.Global(i)])
-	}
+	acc := fold(v, r, op)
 	if inj := v.m.inj; inj != nil {
-		if s, _, ok := inj.CorruptCell("Reduce", n); ok && s >= 0 && s < n {
+		if s, _, ok := inj.CorruptCell("Reduce", v.Size()); ok && s >= 0 && s < v.Size() {
 			acc = r.data[v.Global(s)]
 		}
 	}
-	if v.m.audit {
-		ref := r.data[v.Global(0)]
-		for i := 1; i < n; i++ {
-			ref = op(ref, r.data[v.Global(i)])
-		}
-		if !reflect.DeepEqual(acc, ref) {
-			panic(&AuditError{
-				Geom:   v.m.geometry(),
-				Op:     "Reduce",
-				Detail: "reduction result differs from the reference fold",
-			})
-		}
+	if v.m.audit && !reflect.DeepEqual(acc, fold(v, r, op)) {
+		panic(&AuditError{
+			Geom:   v.m.geometry(),
+			Op:     "Reduce",
+			Detail: "reduction result differs from the reference fold",
+		})
 	}
 	v.charge(OpReduce, v.reduceCost())
+	return acc
+}
+
+// fold combines the view's cells of r with op in local row-major order.
+func fold[T any](v View, r *Reg[T], op func(a, b T) T) T {
+	rows, w := v.rowWalk()
+	acc := r.data[v.Global(0)]
+	for row := 0; row < rows; row++ {
+		cells := rowOf(v, r, row, w)
+		if row == 0 {
+			cells = cells[1:]
+		}
+		for c := range cells {
+			acc = op(acc, cells[c])
+		}
+	}
 	return acc
 }
 
@@ -91,23 +78,24 @@ func Reduce[T any](v View, r *Reg[T], op func(a, b T) T) T {
 // Cost: 2·(rows+cols).
 func Scan[T any](v View, r *Reg[T], op func(a, b T) T) {
 	v = v.begin(OpScan)
-	n := v.Size()
 	var in []T
-	if v.m.audit && n > 0 {
-		in = make([]T, n)
-		for i := 0; i < n; i++ {
-			in[i] = r.data[v.Global(i)]
-		}
+	if v.m.audit {
+		in = gather(v, r)
 	}
+	rows, w := v.rowWalk()
 	prev := r.data[v.Global(0)]
-	for i := 1; i < n; i++ {
-		g := v.Global(i)
-		prev = op(prev, r.data[g])
-		r.data[g] = prev
+	for row := 0; row < rows; row++ {
+		cells := rowOf(v, r, row, w)
+		for c := range cells {
+			if row > 0 || c > 0 {
+				prev = op(prev, cells[c])
+				cells[c] = prev
+			}
+		}
 	}
 	corruptReg(v, "Scan", r)
 	if in != nil {
-		auditScanIdentity(v, "Scan", in, func(i int) T { return r.data[v.Global(i)] }, nil, op)
+		auditScanIdentity(v, "Scan", in, gather(v, r), nil, op)
 	}
 	v.charge(OpScan, v.scanCost())
 }
@@ -117,15 +105,15 @@ func Scan[T any](v View, r *Reg[T], op func(a, b T) T) {
 // in[i]) at interior cells, out[i] = in[i] at cell 0 and at segment heads
 // (which the scan leaves untouched — a fault landing there must not escape
 // either). head nil means the only head is cell 0.
-func auditScanIdentity[T any](v View, opName string, in []T, out func(i int) T, head func(i int) bool, op func(a, b T) T) {
-	for i := 0; i < len(in); i++ {
+func auditScanIdentity[T any](v View, opName string, in, out []T, head []bool, op func(a, b T) T) {
+	for i := range in {
 		var want T
-		if i == 0 || (head != nil && head(i)) {
+		if i == 0 || (head != nil && head[i]) {
 			want = in[i]
 		} else {
-			want = op(out(i-1), in[i])
+			want = op(out[i-1], in[i])
 		}
-		if got := out(i); !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(out[i], want) {
 			panic(&AuditError{
 				Geom:   v.m.geometry(),
 				Op:     opName,
@@ -139,34 +127,32 @@ func auditScanIdentity[T any](v View, opName string, in []T, out func(i int) T, 
 // cells 0..i-1, and cell 0 receives id. Cost: 2·(rows+cols).
 func ExclusiveScan[T any](v View, r *Reg[T], id T, op func(a, b T) T) {
 	v = v.begin(OpScan)
-	n := v.Size()
 	var in []T
-	if v.m.audit && n > 0 {
-		in = make([]T, n)
-		for i := 0; i < n; i++ {
-			in[i] = r.data[v.Global(i)]
-		}
+	if v.m.audit {
+		in = gather(v, r)
 	}
+	rows, w := v.rowWalk()
 	acc := id
-	for i := 0; i < n; i++ {
-		g := v.Global(i)
-		acc, r.data[g] = op(acc, r.data[g]), acc
+	for row := 0; row < rows; row++ {
+		cells := rowOf(v, r, row, w)
+		for c := range cells {
+			acc, cells[c] = op(acc, cells[c]), acc
+		}
 	}
 	corruptReg(v, "ExclusiveScan", r)
 	if in != nil {
 		// Exclusive identity: out[0] = id, out[i] = op(out[i-1], in[i-1]).
-		for i := 0; i < n; i++ {
-			var want T
-			if i == 0 {
-				want = id
-			} else {
-				want = op(r.data[v.Global(i-1)], in[i-1])
+		out := gather(v, r)
+		for i := range out {
+			want := id
+			if i > 0 {
+				want = op(out[i-1], in[i-1])
 			}
-			if got := r.data[v.Global(i)]; !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(out[i], want) {
 				panic(&AuditError{
 					Geom:   v.m.geometry(),
 					Op:     "ExclusiveScan",
-					Detail: fmt.Sprintf("exclusive prefix identity broken at processor %d of %d", i, n),
+					Detail: fmt.Sprintf("exclusive prefix identity broken at processor %d of %d", i, len(out)),
 				})
 			}
 		}
@@ -180,30 +166,28 @@ func ExclusiveScan[T any](v View, r *Reg[T], id T, op func(a, b T) T) {
 // processors following it (Nassimi–Sahni generalize). Cost: 2·(rows+cols).
 func SegScan[T any](v View, r *Reg[T], head *Reg[bool], op func(a, b T) T) {
 	v = v.begin(OpScan)
-	n := v.Size()
 	var in []T
-	if v.m.audit && n > 0 {
-		in = make([]T, n)
-		for i := 0; i < n; i++ {
-			in[i] = r.data[v.Global(i)]
-		}
+	if v.m.audit {
+		in = gather(v, r)
 	}
+	rows, w := v.rowWalk()
 	prev := r.data[v.Global(0)]
-	for i := 1; i < n; i++ {
-		g := v.Global(i)
-		if head.data[g] {
-			prev = r.data[g]
-		} else {
-			prev = op(prev, r.data[g])
-			r.data[g] = prev
+	for row := 0; row < rows; row++ {
+		cells, heads := rowOf(v, r, row, w), rowOf(v, head, row, w)
+		for c := range cells {
+			switch {
+			case row == 0 && c == 0:
+			case heads[c]:
+				prev = cells[c]
+			default:
+				prev = op(prev, cells[c])
+				cells[c] = prev
+			}
 		}
 	}
 	corruptReg(v, "SegScan", r)
 	if in != nil {
-		auditScanIdentity(v, "SegScan", in,
-			func(i int) T { return r.data[v.Global(i)] },
-			func(i int) bool { return head.data[v.Global(i)] },
-			op)
+		auditScanIdentity(v, "SegScan", in, gather(v, r), gather(v, head), op)
 	}
 	v.charge(OpScan, v.scanCost())
 }
@@ -245,13 +229,11 @@ func RotateRows[T any](v View, r *Reg[T], d int) {
 	}
 	row := Checkout[T](v.m, v.w)
 	for rr := 0; rr < v.h; rr++ {
-		base := rr * v.w
-		for c := 0; c < v.w; c++ {
-			row[(c+d)%v.w] = r.data[v.Global(base+c)]
+		cells := rowOf(v, r, rr, v.w)
+		for c := range cells {
+			row[(c+d)%v.w] = cells[c]
 		}
-		for c := 0; c < v.w; c++ {
-			r.data[v.Global(base+c)] = row[c]
-		}
+		copy(cells, row)
 	}
 	Release(v.m, row)
 	corruptReg(v, "RotateRows", r)
@@ -307,28 +289,17 @@ func RotateCols[T any](v View, r *Reg[T], d int) {
 //
 // Fault model: the tally register latches cell src's index in place of the
 // count. Audit mode recounts and compares.
-func Count[T any](v View, r *Reg[T], pred func(T) bool) int {
+func Count[T any](v View, r *Reg[T], pred func(*T) bool) int {
 	v = v.begin(OpReduce)
 	n := v.Size()
-	c := 0
-	for i := 0; i < n; i++ {
-		if pred(r.data[v.Global(i)]) {
-			c++
-		}
-	}
+	c := count(v, r, pred)
 	if inj := v.m.inj; inj != nil {
 		if s, _, ok := inj.CorruptCell("Count", n); ok && s >= 0 && s < n {
 			c = s
 		}
 	}
 	if v.m.audit {
-		ref := 0
-		for i := 0; i < n; i++ {
-			if pred(r.data[v.Global(i)]) {
-				ref++
-			}
-		}
-		if c != ref {
+		if ref := count(v, r, pred); c != ref {
 			panic(&AuditError{
 				Geom:   v.m.geometry(),
 				Op:     "Count",
@@ -337,5 +308,20 @@ func Count[T any](v View, r *Reg[T], pred func(T) bool) int {
 		}
 	}
 	v.charge(OpReduce, v.reduceCost())
+	return c
+}
+
+// count tallies the view's cells of r that satisfy pred.
+func count[T any](v View, r *Reg[T], pred func(*T) bool) int {
+	rows, w := v.rowWalk()
+	c := 0
+	for row := 0; row < rows; row++ {
+		cells := rowOf(v, r, row, w)
+		for i := range cells {
+			if pred(&cells[i]) {
+				c++
+			}
+		}
+	}
 	return c
 }

@@ -175,7 +175,7 @@ func TestCount(t *testing.T) {
 			want++
 		}
 	}
-	if got := Count(v, r, func(x int) bool { return x%2 == 0 }); got != want {
+	if got := Count(v, r, func(x *int) bool { return *x%2 == 0 }); got != want {
 		t.Fatalf("Count=%d want %d", got, want)
 	}
 }

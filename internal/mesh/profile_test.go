@@ -21,11 +21,12 @@ func TestProfileSumsToSteps(t *testing.T) {
 	Reduce(v, r, func(a, b int64) int64 { return a + b })
 	RotateRows(v, r, 3)
 	Concentrate(v, r, -1, func(x int64) bool { return x%2 == 0 })
+	vals := cellValues(v.Size(), func(i int) int64 { return int64(i) })
 	RAR(v,
 		func(i int) (int32, bool) { return int32(i), true },
-		func(i int) int64 { return int64(i) },
+		func(i int) *int64 { return &vals[i] },
 		func(i int) (int32, bool) { return int32(i), true },
-		func(i int, val int64, found bool) {})
+		func(int, *int64, bool) {})
 	RAW(v,
 		func(i int) (int32, bool) { return int32(i), true },
 		func(i int) (int32, int64, bool) { return int32(i / 2), 1, true },
@@ -60,11 +61,12 @@ func TestProfileSumsToSteps(t *testing.T) {
 func TestCompoundOpAttribution(t *testing.T) {
 	m := New(8)
 	v := m.Root()
+	vals := cellValues(v.Size(), func(i int) int64 { return int64(i) })
 	RAR(v,
 		func(i int) (int32, bool) { return int32(i), true },
-		func(i int) int64 { return int64(i) },
+		func(i int) *int64 { return &vals[i] },
 		func(i int) (int32, bool) { return int32(i), true },
-		func(i int, val int64, found bool) {})
+		func(int, *int64, bool) {})
 	p := m.Profile()
 	if p.Ops[OpRAR].Count != 1 {
 		t.Errorf("rar count = %d, want 1", p.Ops[OpRAR].Count)

@@ -85,11 +85,21 @@ type rarOutcome[V any] struct {
 type rarImpl[V any] func(v mesh.View, b rarBank, val func(int) V, deliver func(int, V, bool))
 
 func thinRAR[V any](v mesh.View, b rarBank, val func(int) V, deliver func(int, V, bool)) {
+	vals := make([]V, v.Size())
+	for i := range vals {
+		vals[i] = val(i)
+	}
 	mesh.RAR(v,
 		func(i int) (int32, bool) { return b.recKey[i], b.hasRec[i] },
-		val,
+		func(i int) *V { return &vals[i] },
 		func(i int) (int32, bool) { return b.reqKey[i], b.hasReq[i] },
-		deliver)
+		func(i int, p *V, found bool) {
+			var x V // nil reads as the zero V
+			if p != nil {
+				x = *p
+			}
+			deliver(i, x, found)
+		})
 }
 
 func refRAR[V any](v mesh.View, b rarBank, val func(int) V, deliver func(int, V, bool)) {

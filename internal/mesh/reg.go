@@ -37,53 +37,75 @@ func Set[T any](v View, r *Reg[T], i int, val T) { r.data[v.Global(i)] = val }
 // cell's pre-fill word; audit mode verifies every cell equals val.
 func Fill[T any](v View, r *Reg[T], val T) {
 	v = v.begin(OpLocal)
-	stale, staleAt := corruptStale(v, "Fill", r)
-	n := v.Size()
-	for i := 0; i < n; i++ {
-		r.data[v.Global(i)] = val
+	sweep(v, "Fill", r, val, "fill")
+	v.charge(OpLocal, 1)
+}
+
+// sweep is the shared body of Fill and Broadcast: write val into every cell
+// of the view, with the stale-word fault seam and the audit check. The
+// first row is written by doubling copies and every later row is a copy of
+// it, so val is stored once, not once per cell.
+func sweep[T any](v View, op string, r *Reg[T], val T, what string) {
+	stale, staleAt := corruptStale(v, op, r)
+	rows, w := v.rowWalk()
+	first := rowOf(v, r, 0, w)
+	first[0] = val
+	for k := 1; k < w; k *= 2 {
+		copy(first[k:], first[:k])
+	}
+	for row := 1; row < rows; row++ {
+		copy(rowOf(v, r, row, w), first)
 	}
 	if staleAt >= 0 {
 		r.data[v.Global(staleAt)] = stale
 	}
 	if v.m.audit {
-		for i := 0; i < n; i++ {
-			if !reflect.DeepEqual(r.data[v.Global(i)], val) {
-				panic(&AuditError{
-					Geom:   v.m.geometry(),
-					Op:     "Fill",
-					Detail: fmt.Sprintf("cell %d of %d differs from the fill value", i, n),
-				})
+		for row := 0; row < rows; row++ {
+			cells := rowOf(v, r, row, w)
+			for c := range cells {
+				if !reflect.DeepEqual(cells[c], val) {
+					panic(&AuditError{
+						Geom:   v.m.geometry(),
+						Op:     op,
+						Detail: fmt.Sprintf("cell %d of %d differs from the %s value", row*w+c, v.Size(), what),
+					})
+				}
 			}
 		}
 	}
-	v.charge(OpLocal, 1)
 }
 
-// Apply runs a locally-computed O(1) update on every processor of the view.
-// One parallel step.
+// Apply runs a locally-computed O(1) update on every processor of the view:
+// f updates the cell in place through cur. One parallel step.
 //
 // Fault model: one cell latches a neighbour's updated word during the
 // write-back sweep. Audit mode snapshots the honest output and compares
 // cell-by-cell after the seam — it never re-runs f, so impure update
 // functions stay single-shot.
-func Apply[T any](v View, r *Reg[T], f func(local int, cur T) T) {
+func Apply[T any](v View, r *Reg[T], f func(local int, cur *T)) {
 	v = v.begin(OpLocal)
-	n := v.Size()
-	for i := 0; i < n; i++ {
-		g := v.Global(i)
-		r.data[g] = f(i, r.data[g])
+	rows, w := v.rowWalk()
+	for row := 0; row < rows; row++ {
+		cells := rowOf(v, r, row, w)
+		for c := range cells {
+			f(row*w+c, &cells[c])
+		}
 	}
 	auditWriteBack(v, "Apply", r)
 }
 
 // Apply2 runs a locally-computed O(1) update reading register a and updating
-// register b on every processor of the view. One parallel step. Same fault
-// model and audit as Apply, on register b.
-func Apply2[A, B any](v View, a *Reg[A], b *Reg[B], f func(local int, av A, bv B) B) {
+// register b in place on every processor of the view. One parallel step.
+// Same fault model and audit as Apply, on register b. f must not write
+// through av.
+func Apply2[A, B any](v View, a *Reg[A], b *Reg[B], f func(local int, av *A, bv *B)) {
 	v = v.begin(OpLocal)
-	for i, n := 0, v.Size(); i < n; i++ {
-		g := v.Global(i)
-		b.data[g] = f(i, a.data[g], b.data[g])
+	rows, w := v.rowWalk()
+	for row := 0; row < rows; row++ {
+		as, bs := rowOf(v, a, row, w), rowOf(v, b, row, w)
+		for c := range bs {
+			f(row*w+c, &as[c], &bs[c])
+		}
 	}
 	auditWriteBack(v, "Apply2", b)
 }
@@ -98,30 +120,48 @@ func auditWriteBack[T any](v View, op string, r *Reg[T]) {
 	}
 	corruptReg(v, op, r)
 	if want != nil {
-		n := v.Size()
-		for i := 0; i < n; i++ {
-			if !reflect.DeepEqual(r.data[v.Global(i)], want[i]) {
-				panic(&AuditError{
-					Geom:   v.m.geometry(),
-					Op:     op,
-					Detail: fmt.Sprintf("cell %d of %d latched a foreign word during write-back", i, n),
-				})
+		rows, w := v.rowWalk()
+		for row := 0; row < rows; row++ {
+			cells := rowOf(v, r, row, w)
+			for c := range cells {
+				if i := row*w + c; !reflect.DeepEqual(cells[c], want[i]) {
+					panic(&AuditError{
+						Geom:   v.m.geometry(),
+						Op:     op,
+						Detail: fmt.Sprintf("cell %d of %d latched a foreign word during write-back", i, len(want)),
+					})
+				}
 			}
 		}
 	}
 	v.charge(OpLocal, 1)
 }
 
+// rowWalk reports how a walk visits the view's cells in local row-major
+// order: rows runs of w contiguous register cells, run row holding local
+// indices row·w … row·w+w-1 (see rowOf). A view of whole rows (w == side,
+// such as the root view) is one contiguous run; any other view has one run
+// per view row. Primitives walk runs instead of converting every local
+// index with Global, which divides.
+func (v View) rowWalk() (rows, w int) {
+	if v.w == v.m.side {
+		return 1, v.h * v.w
+	}
+	return v.h, v.w
+}
+
+// rowOf returns run row of the view's cells of r, for the w that rowWalk
+// reported.
+func rowOf[T any](v View, r *Reg[T], row, w int) []T {
+	return r.data[(v.r0+row)*v.m.side+v.c0:][:w]
+}
+
 // gatherInto copies the view's contents of r into out (which must have
 // length Size()) in view-local row-major order.
 func gatherInto[T any](v View, r *Reg[T], out []T) {
-	if v.w == v.m.side && v.c0 == 0 {
-		copy(out, r.data[v.r0*v.m.side:(v.r0+v.h)*v.m.side])
-		return
-	}
-	for row := 0; row < v.h; row++ {
-		base := (v.r0+row)*v.m.side + v.c0
-		copy(out[row*v.w:(row+1)*v.w], r.data[base:base+v.w])
+	rows, w := v.rowWalk()
+	for row := 0; row < rows; row++ {
+		copy(out[row*w:], rowOf(v, r, row, w))
 	}
 }
 
@@ -146,14 +186,7 @@ func scatter[T any](v View, r *Reg[T], xs []T) {
 	if len(xs) != v.Size() {
 		panic("mesh: scatter length mismatch")
 	}
-	if v.w == v.m.side && v.c0 == 0 {
-		copy(r.data[v.r0*v.m.side:(v.r0+v.h)*v.m.side], xs)
-		return
-	}
-	for row := 0; row < v.h; row++ {
-		base := (v.r0+row)*v.m.side + v.c0
-		copy(r.data[base:base+v.w], xs[row*v.w:(row+1)*v.w])
-	}
+	Load(v, r, xs)
 }
 
 // Snapshot returns a copy of the view's contents of r in view-local
@@ -167,7 +200,8 @@ func Load[T any](v View, r *Reg[T], xs []T) {
 	if len(xs) > v.Size() {
 		panic("mesh: Load overflow")
 	}
-	for i, x := range xs {
-		r.data[v.Global(i)] = x
+	_, w := v.rowWalk()
+	for row := 0; len(xs) > 0; row++ {
+		xs = xs[copy(rowOf(v, r, row, w), xs):]
 	}
 }

@@ -54,17 +54,22 @@ type move struct {
 // byDest is the sort word of a move list: the destination.
 func byDest(mv move) uint64 { return uint64(mv.dest) }
 
-// collectMoves builds the pooled move list for Route/RouteTo and validates
-// destinations. The caller releases it.
-func collectMoves[T any](v View, read func(local int) T, sel func(local int, val T) (dest int, ok bool), opName string) []move {
+// collectMoves builds the pooled move list for Route/RouteTo from r's
+// cells and validates destinations. The caller releases it.
+func collectMoves[T any](v View, r *Reg[T], sel func(local int, val *T) (dest int, ok bool), opName string) []move {
 	m := v.Size()
 	moves := Checkout[move](v.m, m)[:0]
-	for i := 0; i < m; i++ {
-		if d, ok := sel(i, read(i)); ok {
-			if d < 0 || d >= m {
-				panic("mesh: " + opName + " destination out of view")
+	rows, w := v.rowWalk()
+	for row := 0; row < rows; row++ {
+		cells := rowOf(v, r, row, w)
+		for c := range cells {
+			i := row*w + c
+			if d, ok := sel(i, &cells[c]); ok {
+				if d < 0 || d >= m {
+					panic("mesh: " + opName + " destination out of view")
+				}
+				moves = append(moves, move{int32(d), int32(i)})
 			}
-			moves = append(moves, move{int32(d), int32(i)})
 		}
 	}
 	sortSlice(v, opName, moves, 1, byDest)
@@ -78,14 +83,15 @@ func collectMoves[T any](v View, read func(local int) T, sel func(local int, val
 
 // RouteTo moves selected records of src into computed destination cells of
 // dst (a different register: each record is read from src where it lands,
-// so writing dst must not change src). Destinations must be distinct; cells
-// of dst that receive no record are untouched. Cost: one sort.
-func RouteTo[T any](v View, src, dst *Reg[T], sel func(local int, val T) (dest int, ok bool)) {
+// so writing dst must not change src). sel reads each cell of src and must
+// not write through val. Destinations must be distinct; cells of dst that
+// receive no record are untouched. Cost: one sort.
+func RouteTo[T any](v View, src, dst *Reg[T], sel func(local int, val *T) (dest int, ok bool)) {
 	v = v.begin(OpRoute)
 	if src == dst {
 		panic("mesh: RouteTo source and destination are one register")
 	}
-	moves := collectMoves(v, func(i int) T { return src.data[v.Global(i)] }, sel, "RouteTo")
+	moves := collectMoves(v, src, sel, "RouteTo")
 	for _, mv := range moves {
 		dst.data[v.Global(int(mv.dest))] = src.data[v.Global(int(mv.src))]
 	}
@@ -196,7 +202,7 @@ func auditAllDelivered[V any](v View, op string, expect map[int32]*rarExpect[V])
 // the segmented copy-scan, not by magic). Record keys are expected to be
 // unique within the view (the algorithms guarantee this; if violated, the
 // last record in sorted order wins). Requests whose key has no record
-// receive found=false and the zero V.
+// receive found=false and a nil value.
 //
 // Mesh realization charged here: sort the 2m-item bank by (key, records
 // first) — one sort word, bankWord(key, isReq); copy-scan record values
@@ -204,14 +210,16 @@ func auditAllDelivered[V any](v View, op string, expect map[int32]*rarExpect[V])
 // Cost: 1 double-sort + 1 double-scan + 1 single sort.
 //
 // The bank is thin: a record enters it as its key plus its processor index,
-// and the copy-scan copies that index, not the value. value(local) reads a
-// record's value where it lands — once per delivered request, plus once per
-// request for the audit oracle — so the sorted items stay 16 bytes for the
-// algorithms' int32 keys however wide V is. Charges, sort words,
-// scan-head decisions, fault consultations and audit verdicts read only
-// keys, flags and indices, so they are those of a bank that carries the
-// values. Contract: record values must not change during the RAR — deliver
-// must not write the cells value reads.
+// and the copy-scan copies that index, not the value. value(local) points
+// at a record's value where it lies — asked once per delivered request,
+// plus once per request for the audit oracle, which copies the value — and
+// deliver reads it through that pointer, so the sorted items stay 16 bytes
+// for the algorithms' int32 keys however wide V is, and no value is copied
+// on its way to deliver. Charges, sort words, scan-head decisions, fault
+// consultations and audit verdicts read only keys, flags and indices, so
+// they are those of a bank that carries the values. Contract: record values
+// must not change during the RAR — deliver must not write through its
+// value pointer, nor write the cells value points at.
 //
 // In audit mode every delivery is cross-checked against a host-side oracle
 // built from the pristine item bank, and each pending request must be
@@ -219,9 +227,9 @@ func auditAllDelivered[V any](v View, op string, expect map[int32]*rarExpect[V])
 // duplicated replies and corrupted bank records.
 func RAR[K ~int32, V any](v View,
 	key func(local int) (K, bool),
-	value func(local int) V,
+	value func(local int) *V,
 	request func(local int) (key K, ok bool),
-	deliver func(local int, val V, found bool),
+	deliver func(local int, val *V, found bool),
 ) {
 	// src is the local index of the record whose value the item carries:
 	// the record itself, or (after the copy-scan) the record a request
@@ -259,7 +267,7 @@ func RAR[K ~int32, V any](v View,
 			if it.isReq {
 				e := &rarExpect[V]{}
 				if src, ok := recs[it.key]; ok {
-					e.val, e.found = value(int(src)), true
+					e.val, e.found = *value(int(src)), true
 				}
 				expect[it.origin] = e
 			}
@@ -297,12 +305,16 @@ func RAR[K ~int32, V any](v View,
 		}
 	}
 	send := func(origin int32, it item) {
-		var val V
+		var val *V
 		if it.found {
 			val = value(int(it.src))
 		}
 		if expect != nil {
-			auditDelivery(v, "RAR", expect, origin, val, it.found)
+			var got V
+			if val != nil {
+				got = *val
+			}
+			auditDelivery(v, "RAR", expect, origin, got, it.found)
 		}
 		deliver(int(origin), val, it.found)
 	}
@@ -466,12 +478,13 @@ func scanSliceRev[T any](v View, opName string, xs []T, perProc int, head func(i
 // Destinations must be distinct (panic otherwise: a routing collision is a
 // program bug in the calling algorithm — the paper's routings are always
 // collision-free by construction). Source cells of moved records that do
-// not themselves receive a record are set to clear. Cost: one sort.
-func Route[T any](v View, r *Reg[T], clear T, sel func(local int, val T) (dest int, ok bool)) {
+// not themselves receive a record are set to clear. sel reads each cell and
+// must not write through val. Cost: one sort.
+func Route[T any](v View, r *Reg[T], clear T, sel func(local int, val *T) (dest int, ok bool)) {
 	v = v.begin(OpRoute)
 	cleared := Checkout[int32](v.m, v.Size())[:0]
-	moves := collectMoves(v, func(i int) T { return r.data[v.Global(i)] },
-		func(i int, val T) (int, bool) {
+	moves := collectMoves(v, r,
+		func(i int, val *T) (int, bool) {
 			d, ok := sel(i, val)
 			if ok {
 				cleared = append(cleared, int32(i))
@@ -558,9 +571,7 @@ func BroadcastBlock[T any](parent View, r *Reg[T], block []T, subs []View) {
 		}
 	}
 	for _, s := range subs {
-		for i, x := range block {
-			r.data[s.Global(i)] = x
-		}
+		Load(s, r, block)
 	}
 	if staleAt >= 0 {
 		dv, di := cellOf(staleAt)

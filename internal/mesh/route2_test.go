@@ -11,7 +11,7 @@ func TestApply2(t *testing.T) {
 		Set(v, a, i, i*10)
 		Set(v, b, i, 1)
 	}
-	Apply2(v, a, b, func(local, av, bv int) int { return av + bv + local })
+	Apply2(v, a, b, func(local int, av, bv *int) { *bv += *av + local })
 	for i := 0; i < v.Size(); i++ {
 		if got := At(v, b, i); got != i*10+1+i {
 			t.Fatalf("cell %d = %d", i, got)
@@ -73,7 +73,7 @@ func TestRouteTo(t *testing.T) {
 		Set(v, src, i, 100+i)
 		Set(v, dst, i, -1)
 	}
-	RouteTo(v, src, dst, func(i, val int) (int, bool) {
+	RouteTo(v, src, dst, func(i int, _ *int) (int, bool) {
 		return v.Size() - 1 - i, i%2 == 0
 	})
 	for i := 0; i < v.Size(); i++ {
@@ -103,7 +103,7 @@ func TestRouteToCollisionPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	RouteTo(m.Root(), src, dst, func(i, val int) (int, bool) { return 0, true })
+	RouteTo(m.Root(), src, dst, func(int, *int) (int, bool) { return 0, true })
 }
 
 func TestRouteToOutOfRangePanics(t *testing.T) {
@@ -115,7 +115,7 @@ func TestRouteToOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	RouteTo(m.Root(), src, dst, func(i, val int) (int, bool) { return -1, true })
+	RouteTo(m.Root(), src, dst, func(int, *int) (int, bool) { return -1, true })
 }
 
 func TestRouteScratch(t *testing.T) {

@@ -6,21 +6,32 @@ import (
 	"testing/quick"
 )
 
+// cellValues materializes f over n processors, so that a RAR's value
+// callback can point at each record's value where it lies.
+func cellValues[V any](n int, f func(i int) V) []V {
+	vals := make([]V, n)
+	for i := range vals {
+		vals[i] = f(i)
+	}
+	return vals
+}
+
 func TestRARBasicGather(t *testing.T) {
 	m := New(4)
 	v := m.Root()
 	// Processor i holds record (key=i*10, val=i*100); every processor
 	// requests key ((i+3) mod 16)*10.
 	got := make([]int, v.Size())
+	vals := cellValues(v.Size(), func(i int) int { return i * 100 })
 	RAR(v,
 		func(i int) (int32, bool) { return int32(i * 10), true },
-		func(i int) int { return i * 100 },
+		func(i int) *int { return &vals[i] },
 		func(i int) (int32, bool) { return int32(((i + 3) % 16) * 10), true },
-		func(i int, val int, found bool) {
+		func(i int, val *int, found bool) {
 			if !found {
 				t.Fatalf("request %d not found", i)
 			}
-			got[i] = val
+			got[i] = *val
 		})
 	for i := range got {
 		if got[i] != ((i+3)%16)*100 {
@@ -35,12 +46,13 @@ func TestRARConcurrentReads(t *testing.T) {
 	// One record (key 7) read by all 64 requests: the congestion case the
 	// copy-scan resolves.
 	hits := 0
+	rec := 4242
 	RAR(v,
 		func(i int) (int32, bool) { return 7, i == 42 },
-		func(i int) int { return 4242 },
+		func(i int) *int { return &rec },
 		func(i int) (int32, bool) { return 7, true },
-		func(i int, val int, found bool) {
-			if found && val == 4242 {
+		func(i int, val *int, found bool) {
+			if found && *val == 4242 {
 				hits++
 			}
 		})
@@ -53,15 +65,19 @@ func TestRARMissingKey(t *testing.T) {
 	m := New(2)
 	v := m.Root()
 	misses := 0
+	vals := cellValues(v.Size(), func(i int) int { return i })
 	RAR(v,
 		func(i int) (int32, bool) { return int32(i), i < 2 },
-		func(i int) int { return i },
+		func(i int) *int { return &vals[i] },
 		func(i int) (int32, bool) { return int32(i), true },
-		func(i int, val int, found bool) {
+		func(i int, val *int, found bool) {
 			if !found {
+				if val != nil {
+					t.Fatalf("req %d: missing key delivered a value", i)
+				}
 				misses++
-			} else if val != i {
-				t.Fatalf("req %d got %d", i, val)
+			} else if *val != i {
+				t.Fatalf("req %d got %d", i, *val)
 			}
 		})
 	if misses != 2 {
@@ -72,11 +88,12 @@ func TestRARMissingKey(t *testing.T) {
 func TestRARNoRequests(t *testing.T) {
 	m := New(2)
 	v := m.Root()
+	vals := cellValues(v.Size(), func(i int) int { return i })
 	RAR(v,
 		func(i int) (int32, bool) { return int32(i), true },
-		func(i int) int { return i },
+		func(i int) *int { return &vals[i] },
 		func(i int) (int32, bool) { return 0, false },
-		func(i int, val int, found bool) { t.Fatal("no deliveries expected") })
+		func(i int, val *int, found bool) { t.Fatal("no deliveries expected") })
 }
 
 // Property: RAR equals a reference map-based gather for arbitrary sparse
@@ -84,6 +101,7 @@ func TestRARNoRequests(t *testing.T) {
 func TestQuickRARMatchesReferenceGather(t *testing.T) {
 	m := New(4)
 	v := m.Root()
+	vals := cellValues(v.Size(), func(i int) int { return i * 1000 })
 	f := func(recKeys [16]uint8, recMask uint16, reqKeys [16]uint8) bool {
 		ref := map[int32]int{}
 		for i := 0; i < 16; i++ {
@@ -98,11 +116,11 @@ func TestQuickRARMatchesReferenceGather(t *testing.T) {
 		ok := true
 		RAR(v,
 			func(i int) (int32, bool) { return int32(recKeys[i] % 8), recMask&(1<<i) != 0 },
-			func(i int) int { return i * 1000 },
+			func(i int) *int { return &vals[i] },
 			func(i int) (int32, bool) { return int32(reqKeys[i] % 8), true },
-			func(i int, val int, found bool) {
+			func(i int, val *int, found bool) {
 				want, exists := ref[int32(reqKeys[i]%8)]
-				if found != exists || (found && val != want) {
+				if found != exists || (found && *val != want) {
 					ok = false
 				}
 			})
@@ -116,11 +134,12 @@ func TestQuickRARMatchesReferenceGather(t *testing.T) {
 func TestRARCostIsConstantNumberOfSorts(t *testing.T) {
 	m := New(16)
 	v := m.Root()
+	vals := cellValues(v.Size(), func(i int) int { return i })
 	RAR(v,
 		func(i int) (int32, bool) { return int32(i), true },
-		func(i int) int { return i },
+		func(i int) *int { return &vals[i] },
 		func(i int) (int32, bool) { return int32(i), true },
-		func(i int, val int, found bool) {})
+		func(i int, val *int, found bool) {})
 	// 1 double sort + 1 double scan + 1 single sort + 1 step, per route.go.
 	want := v.doubleSortCost() + 2*v.scanCost() + v.rowMajorSortCost() + 1
 	if m.Steps() != want {
@@ -136,7 +155,7 @@ func TestRoutePermutation(t *testing.T) {
 		Set(v, r, i, i)
 	}
 	// Reverse the mesh.
-	Route(v, r, -1, func(i, val int) (int, bool) { return v.Size() - 1 - i, true })
+	Route(v, r, -1, func(i int, _ *int) (int, bool) { return v.Size() - 1 - i, true })
 	for i := 0; i < v.Size(); i++ {
 		if At(v, r, i) != v.Size()-1-i {
 			t.Fatalf("cell %d = %d", i, At(v, r, i))
@@ -152,7 +171,7 @@ func TestRoutePartialLeavesClear(t *testing.T) {
 		Set(v, r, i, 100+i)
 	}
 	// Move cell 0 to cell 8; cell 0 becomes clear, others untouched.
-	Route(v, r, -1, func(i, val int) (int, bool) { return 8, i == 0 })
+	Route(v, r, -1, func(i int, _ *int) (int, bool) { return 8, i == 0 })
 	if At(v, r, 0) != -1 {
 		t.Fatalf("source not cleared: %d", At(v, r, 0))
 	}
@@ -173,7 +192,7 @@ func TestRouteCollisionPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Route(v, r, 0, func(i, val int) (int, bool) { return 0, true })
+	Route(v, r, 0, func(int, *int) (int, bool) { return 0, true })
 }
 
 func TestRouteOutOfRangePanics(t *testing.T) {
@@ -185,7 +204,7 @@ func TestRouteOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Route(v, r, 0, func(i, val int) (int, bool) { return 99, true })
+	Route(v, r, 0, func(int, *int) (int, bool) { return 99, true })
 }
 
 func TestConcentrate(t *testing.T) {

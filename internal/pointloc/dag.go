@@ -67,14 +67,14 @@ func assemble(tr *geom.Triangulation, stages [][]stageTri) (*Hierarchy, error) {
 // the children's corner coordinates carried in the extended payload.
 func (h *Hierarchy) Successor() core.Successor {
 	g := h.Dag.Graph
-	return func(v graph.Vertex, q *core.Query) (int, bool) {
+	return func(v *graph.Vertex, q *core.Query) (int, bool) {
 		q.State[stateDigest] = q.State[stateDigest]*1000003 + int64(v.ID) + 1
 		if v.Deg == 0 {
 			q.State[StateAnswer] = v.Data[dataAnswer]
 			return 0, true
 		}
 		p := geom.Point2{X: q.State[StateX], Y: q.State[StateY]}
-		ext := g.ExtOf(&v)
+		ext := g.ExtOf(v)
 		for j := 0; j < int(v.Deg); j++ {
 			a := geom.Point2{X: ext[j*6+0], Y: ext[j*6+1]}
 			b := geom.Point2{X: ext[j*6+2], Y: ext[j*6+3]}

@@ -159,7 +159,7 @@ func angleLess(u, w geom.Point2) bool {
 // pick the angular extremum in the query's direction of interest.
 func (h *Hierarchy) Successor() core.Successor {
 	g := h.Dag.Graph
-	return func(v graph.Vertex, q *core.Query) (int, bool) {
+	return func(v *graph.Vertex, q *core.Query) (int, bool) {
 		if v.Deg == 0 {
 			q.State[StateAnswer] = v.Data[dataIdx]
 			return 0, true
@@ -182,7 +182,7 @@ func (h *Hierarchy) Successor() core.Successor {
 	}
 }
 
-func dirTo(g *graph.Graph, v graph.Vertex, slot int, q geom.Point2) geom.Point2 {
+func dirTo(g *graph.Graph, v *graph.Vertex, slot int, q geom.Point2) geom.Point2 {
 	c := &g.Verts[v.Adj[slot]]
 	return geom.Point2{X: c.Data[dataX] - q.X, Y: c.Data[dataY] - q.Y}
 }

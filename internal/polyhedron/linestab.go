@@ -142,7 +142,7 @@ func (ls *LineStab) InstallSplitter() int {
 // higher wedge); leaf wedges decide with the inclusive triangle test, which
 // agrees with geom.PointInConvexCCW on the shadow for every point — wedge
 // triangles tile the hull and points behind the apex fail the leaf test.
-func StabSuccessor(v graph.Vertex, q *core.Query) (int, bool) {
+func StabSuccessor(v *graph.Vertex, q *core.Query) (int, bool) {
 	q.State[stabStateDigest] = q.State[stabStateDigest]*1000003 + int64(v.ID) + 1
 	p := geom.Point2{X: q.State[StabStateX], Y: q.State[StabStateY]}
 	a := geom.Point2{X: v.Data[lsAX], Y: v.Data[lsAY]}

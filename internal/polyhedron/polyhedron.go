@@ -261,13 +261,13 @@ func assemble(p *geom.Polyhedron, stages []*stage) (*Hierarchy, error) {
 // to be deterministic).
 func (h *Hierarchy) Successor() core.Successor {
 	g := h.Dag.Graph
-	return func(v graph.Vertex, q *core.Query) (int, bool) {
+	return func(v *graph.Vertex, q *core.Query) (int, bool) {
 		if v.Deg == 0 {
 			q.State[StateAnswer] = v.Data[dataHullIdx]
 			return 0, true
 		}
 		d := geom.Point3{X: q.State[StateDX], Y: q.State[StateDY], Z: q.State[StateDZ]}
-		ext := g.ExtOf(&v)
+		ext := g.ExtOf(v)
 		best := 0
 		bestPt := geom.Point3{X: ext[0], Y: ext[1], Z: ext[2]}
 		bestDot := geom.Dot3(d, bestPt)

@@ -150,7 +150,7 @@ func HostAnswer(st Structure, a Args) Answer {
 	for i := range qs {
 		q := &qs[i]
 		for !q.Done {
-			core.Visit(f, g.Verts[q.Cur], q)
+			core.Visit(f, &g.Verts[q.Cur], q)
 		}
 	}
 	return st.Extract(qs, 0)

@@ -23,7 +23,7 @@ func tracedWorkload(m *mesh.Mesh) {
 	done := Span(v, "workload")
 	func() {
 		defer Span(v, "setup")()
-		mesh.Apply(v, r, func(i int, _ int64) int64 { return int64(i % 13) })
+		mesh.Apply(v, r, func(i int, cur *int64) { *cur = int64(i % 13) })
 		mesh.Sort(v, r, int64Key)
 	}()
 	func() {

@@ -38,7 +38,7 @@ func CycleGraph(numCycles, length int) *graph.Graph {
 
 // WalkSuccessor advances a query along adjacency slot 0 until it has made
 // State[StateKey] visits.
-func WalkSuccessor(v graph.Vertex, q *core.Query) (int, bool) {
+func WalkSuccessor(v *graph.Vertex, q *core.Query) (int, bool) {
 	q.State[StateAcc] = digest(q.State[StateAcc], v.ID)
 	if int64(q.Steps) >= q.State[StateKey] {
 		return 0, true
@@ -61,7 +61,7 @@ func WalkQueries(m, r, n int, rng *rand.Rand) []core.Query {
 // fresh path. Path length r = bounces·2h + 1.
 func BounceSuccessor(k int) core.Successor {
 	downUp := DownUpSuccessor(k)
-	return func(v graph.Vertex, q *core.Query) (int, bool) {
+	return func(v *graph.Vertex, q *core.Query) (int, bool) {
 		edge, done := downUp(v, q)
 		if !done {
 			return edge, false

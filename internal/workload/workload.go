@@ -33,7 +33,7 @@ func digest(acc int64, id graph.VertexID) int64 {
 // into the child whose key span contains State[StateKey]; finish at a
 // vertex with no children. Works on hierarchical DAGs and α-partitionable
 // directed trees alike.
-func KeySearchSuccessor(v graph.Vertex, q *core.Query) (int, bool) {
+func KeySearchSuccessor(v *graph.Vertex, q *core.Query) (int, bool) {
 	q.State[StateAcc] = digest(q.State[StateAcc], v.ID)
 	if v.Deg == 0 {
 		return 0, true
@@ -66,7 +66,7 @@ func spanChild(key, start, width int64, deg int) int {
 // length 2h+1 and crosses every depth cut twice, exercising both splitters
 // of an α-β-partitionable tree in both directions.
 func DownUpSuccessor(k int) core.Successor {
-	return func(v graph.Vertex, q *core.Query) (int, bool) {
+	return func(v *graph.Vertex, q *core.Query) (int, bool) {
 		q.State[StateAcc] = digest(q.State[StateAcc], v.ID)
 		isRoot := v.Level == 0
 		childCount := int(v.Deg)
@@ -100,7 +100,7 @@ func DownUpSuccessor(k int) core.Successor {
 // pseudo-random child choice (hash of key and vertex), finishing at a
 // sink. Exercises arbitrary congestion: walks seeded with equal keys
 // collide at every level.
-func RandomWalkDownSuccessor(v graph.Vertex, q *core.Query) (int, bool) {
+func RandomWalkDownSuccessor(v *graph.Vertex, q *core.Query) (int, bool) {
 	q.State[StateAcc] = digest(q.State[StateAcc], v.ID)
 	if v.Deg == 0 {
 		return 0, true

@@ -136,7 +136,7 @@ func TestNarrowSpanDescendsToChildZero(t *testing.T) {
 
 	var q core.Query
 	q.State[workload.StateKey] = 11
-	edge, done := workload.KeySearchSuccessor(v, &q)
+	edge, done := workload.KeySearchSuccessor(&v, &q)
 	if done || edge != 0 {
 		t.Errorf("KeySearchSuccessor on narrow span: edge=%d done=%v, want 0,false", edge, done)
 	}
@@ -147,7 +147,7 @@ func TestNarrowSpanDescendsToChildZero(t *testing.T) {
 	v.Deg = 5 // parent + 4 children, span still narrower than child count
 	var q2 core.Query
 	q2.State[workload.StateKey] = 11
-	edge, done = workload.DownUpSuccessor(2)(v, &q2)
+	edge, done = workload.DownUpSuccessor(2)(&v, &q2)
 	if done || edge != 1 {
 		t.Errorf("DownUpSuccessor on narrow span: edge=%d done=%v, want 1,false", edge, done)
 	}
@@ -159,7 +159,7 @@ func TestNarrowSpanDescendsToChildZero(t *testing.T) {
 	v2.Data[graph.HDagSpanWidth] = 40
 	var q3 core.Query
 	q3.State[workload.StateKey] = 10 + 25 // third child's decile
-	edge, done = workload.KeySearchSuccessor(v2, &q3)
+	edge, done = workload.KeySearchSuccessor(&v2, &q3)
 	if done || edge != 2 {
 		t.Errorf("KeySearchSuccessor wide span: edge=%d done=%v, want 2,false", edge, done)
 	}
