@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -58,4 +59,48 @@ func TestParseOutage(t *testing.T) {
 			t.Errorf("parseOutage(%q): error %q does not name the flag", bad, err)
 		}
 	}
+}
+
+// FuzzParseOutage feeds an -outage value to parseOutage on a 3-replica
+// fleet. It must never panic, and an accepted plan must name only replicas
+// in range, with onsets ≥ 0. Each entry is a slowdown (slow, creep) with a
+// finite factor above 1 whose delay at a 1 ms gap is not negative, or a
+// stall with no factor. A given stall or ramp duration is positive; zero
+// means not given (a slow entry has no ramp, and a stall's zero StallFor is
+// the 50 ms default). The seed corpus (testdata/fuzz/FuzzParseOutage)
+// covers every form of the grammar, NaN, infinite and 10¹³× factors, and
+// malformed entries.
+func FuzzParseOutage(f *testing.F) {
+	const replicas = 3
+	f.Fuzz(func(t *testing.T, spec string) {
+		plan, err := parseOutage(spec, replicas, 11)
+		if err != nil {
+			return
+		}
+		if len(plan) == 0 {
+			t.Fatalf("%q: accepted an empty plan", spec)
+		}
+		for r, cfgs := range plan {
+			if r < 0 || r >= replicas {
+				t.Fatalf("%q: replica %d out of range", spec, r)
+			}
+			for _, lc := range cfgs {
+				if lc.After < 0 || lc.Ramp < 0 || lc.StallFor < 0 {
+					t.Fatalf("%q: replica %d: negative onset, ramp or stall in %+v", spec, r, lc)
+				}
+				if lc.StallEvery > 0 {
+					if lc.Factor != 0 || lc.Ramp != 0 {
+						t.Fatalf("%q: replica %d: a stall with a slowdown %+v", spec, r, lc)
+					}
+					continue
+				}
+				if !(lc.Factor > 1) || math.IsInf(lc.Factor, 0) {
+					t.Fatalf("%q: replica %d: accepted factor %g", spec, r, lc.Factor)
+				}
+				if d := faults.SlowdownDelay(time.Millisecond, lc.Factor); d < 0 {
+					t.Fatalf("%q: replica %d: factor %g delays %v at a 1 ms gap", spec, r, lc.Factor, d)
+				}
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,15 +154,15 @@ func (l *Latency) pause() {
 	since := now.Sub(l.armed) - l.cfg.After // time past onset; negative = not yet
 	var d time.Duration
 	if since >= 0 {
-		if f := l.factorAtLocked(since); f > 1 {
-			d = time.Duration(float64(gap) * (f - 1))
-		}
+		d = SlowdownDelay(gap, l.factorAtLocked(since))
 		if l.cfg.StallEvery > 0 {
 			if l.nextStall.IsZero() {
 				// First stall lands within one (jittered) interval of onset.
 				l.nextStall = now.Add(time.Duration(float64(l.cfg.StallEvery) * (0.5 + l.stallJitter())))
 			} else if !now.Before(l.nextStall) {
-				d += l.cfg.StallFor
+				if d += l.cfg.StallFor; d < 0 {
+					d = math.MaxInt64 // a saturated slowdown plus a stall
+				}
 				l.stalls.Add(1)
 				l.nextStall = now.Add(time.Duration(float64(l.cfg.StallEvery) * (0.5 + l.stallJitter())))
 			}
@@ -172,6 +173,23 @@ func (l *Latency) pause() {
 		l.slept.Add(int64(d))
 		time.Sleep(d)
 	}
+}
+
+// SlowdownDelay is the delay a Latency injector adds for a consultation gap
+// of gap at slowdown factor f: gap·(f−1), saturated at the largest
+// time.Duration. Without the saturation a finite but huge factor (above
+// about 9.2·10¹² at a 1 ms gap) overflowed to a negative delay, and the
+// outage it asked for never happened. A factor at or below 1 (or NaN) adds
+// nothing.
+func SlowdownDelay(gap time.Duration, f float64) time.Duration {
+	if gap <= 0 || !(f > 1) {
+		return 0
+	}
+	d := float64(gap) * (f - 1)
+	if d >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return time.Duration(d)
 }
 
 // factorAtLocked evaluates the creep ramp at time since onset.

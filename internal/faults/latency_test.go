@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -191,5 +192,35 @@ func TestLatencyDelegatesToInner(t *testing.T) {
 	}
 	if inner.calls != 4 {
 		t.Fatalf("inner saw %d calls, want 4", inner.calls)
+	}
+}
+
+// TestSlowdownDelaySaturates checks the proportional delay at a 1 ms gap
+// without sleeping: gap·(f−1), saturated at the largest time.Duration once
+// the product passes int64 nanoseconds. Before the saturation the factors
+// from 9.3·10¹² up converted to a negative delay, so nothing slept.
+func TestSlowdownDelaySaturates(t *testing.T) {
+	const gap = time.Millisecond
+	const maxDelay = time.Duration(math.MaxInt64)
+	for _, c := range []struct {
+		f        float64
+		min, max time.Duration
+	}{
+		{1, 0, 0},
+		{0.5, 0, 0},
+		{math.NaN(), 0, 0},
+		{10, 9 * time.Millisecond, 9 * time.Millisecond},
+		{9.2e12, 2555555 * time.Hour, 2555556 * time.Hour},
+		{9.3e12, maxDelay, maxDelay},
+		{1e13, maxDelay, maxDelay},
+		{1e300, maxDelay, maxDelay},
+		{math.Inf(1), maxDelay, maxDelay},
+	} {
+		if d := SlowdownDelay(gap, c.f); d < c.min || d > c.max {
+			t.Errorf("factor %g at a %v gap: delay %v, want [%v, %v]", c.f, gap, d, c.min, c.max)
+		}
+	}
+	if d := SlowdownDelay(0, math.Inf(1)); d != 0 {
+		t.Errorf("an infinite factor over no gap delays %v, want 0", d)
 	}
 }

@@ -232,6 +232,16 @@ func (f *Fleet) hedgeDelay() time.Duration {
 	if now-f.hedgeDelayAt.Load() < cacheFor {
 		return time.Duration(f.hedgeDelayNS.Load())
 	}
+	return f.recomputeHedgeDelay(now)
+}
+
+// recomputeHedgeDelay is hedgeDelay's percentile scan, stored in the cache
+// at now. It is kept out of line: the histogram snapshot it takes is a
+// 7.5 KiB stack array once inlined, and every hedged dispatch goroutine
+// would grow its stack for it even on the cached path.
+//
+//go:noinline
+func (f *Fleet) recomputeHedgeDelay(now int64) time.Duration {
 	var p99s []int64
 	for _, r := range f.reps {
 		if r.latSamples.Load() < f.cfg.Hedge.MinSamples {

@@ -4,9 +4,12 @@ package mesh_test
 // bank carried every record's value (rar_ref_test.go). Both run the same
 // random banks on identically configured meshes — same seeded fault
 // injector, audit on or off — and must produce the same delivery stream,
-// the same panic or audit text, the same step charge and the same injected
-// faults. Calls are sequential, so the injector's decisions line up call
-// for call (see the internal/faults package doc on interleaving).
+// the same panic or audit text, the same step charge and profile and the
+// same injected faults. The clean unaudited run (no injector) takes RAR's
+// hash join; every other run takes its bank path. Sides 2 to 8 keep the
+// join's table on the stack, side 16 takes it from the arena. Calls are
+// sequential, so the injector's decisions line up call for call (see the
+// internal/faults package doc on interleaving).
 
 import (
 	"fmt"
@@ -78,6 +81,7 @@ type rarOutcome[V any] struct {
 	deliveries []delivery[V]
 	panicText  string
 	steps      int64
+	profile    mesh.Profile
 	events     []faults.Event
 }
 
@@ -127,6 +131,7 @@ func runRARs[V any](impl rarImpl[V], side int, banks []rarBank, val func(int) V,
 			out.panicText = fmt.Sprint(r)
 		}
 		out.steps = m.Steps()
+		out.profile = m.Profile()
 		if inj != nil {
 			out.events = inj.Events()
 		}
@@ -181,7 +186,7 @@ func diffRAR[V any](t *testing.T, val func(int) V) {
 	const seeds, calls = 4, 3
 	var events, panics, perturbed int
 	for _, sh := range bankShapes {
-		for _, side := range []int{2, 4, 8} {
+		for _, side := range []int{2, 4, 8, 16} {
 			m := side * side
 			rng := rand.New(rand.NewSource(int64(side)*7919 + int64(len(sh.name))))
 			for seed := int64(1); seed <= seeds; seed++ {
@@ -196,11 +201,11 @@ func diffRAR[V any](t *testing.T, val func(int) V) {
 						want := runRARs(refRAR[V], side, banks, val, audit, fc.cfg(seed))
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s side %d seed %d faults %s audit %v: thin RAR diverges from the reference\n"+
-								"thin: %d deliveries, panic %q, %d steps, events %v\n"+
-								"ref:  %d deliveries, panic %q, %d steps, events %v",
+								"thin: %d deliveries, panic %q, %d steps %v, events %v\n"+
+								"ref:  %d deliveries, panic %q, %d steps %v, events %v",
 								sh.name, side, seed, fc.name, audit,
-								len(got.deliveries), got.panicText, got.steps, got.events,
-								len(want.deliveries), want.panicText, want.steps, want.events)
+								len(got.deliveries), got.panicText, got.steps, got.profile, got.events,
+								len(want.deliveries), want.panicText, want.steps, want.profile, want.events)
 						}
 						events += len(got.events)
 						if got.panicText != "" {

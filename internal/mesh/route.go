@@ -225,6 +225,11 @@ func auditAllDelivered[V any](v View, op string, expect map[int32]*rarExpect[V])
 // built from the pristine item bank, and each pending request must be
 // delivered exactly once — which is what detects injected dropped or
 // duplicated replies and corrupted bank records.
+//
+// With no injector installed and audit off, nothing can observe the bank,
+// so the host answers the requests by a hash join instead (rarJoin), with
+// the same charges, callbacks and deliveries. The bank path above stays the
+// definition and runs whenever an injector or the audit is on.
 func RAR[K ~int32, V any](v View,
 	key func(local int) (K, bool),
 	value func(local int) *V,
@@ -241,6 +246,10 @@ func RAR[K ~int32, V any](v View,
 		origin, src int32
 	}
 	v = v.begin(OpRAR)
+	if v.m.inj == nil && !v.m.audit {
+		rarJoin(v, key, value, request, deliver)
+		return
+	}
 	m := v.Size()
 	items := Checkout[item](v.m, 2*m)[:0]
 	for i := 0; i < m; i++ {
@@ -330,6 +339,96 @@ func RAR[K ~int32, V any](v View,
 		auditAllDelivered(v, "RAR", expect)
 	}
 	Release(v.m, items)
+	v.charge(OpRAR, 1)
+}
+
+// joinSlot is one slot of rarJoin's open-addressing table: a record key and
+// the local index of the last record with that key, plus one (0 marks an
+// empty slot, since every int32 is a valid key).
+type joinSlot struct {
+	key, src1 int32
+}
+
+// joinReq is one pending request of rarJoin: its key and its processor.
+type joinReq struct {
+	key, origin int32
+}
+
+// joinProbe returns the slot of a power-of-two table that holds key k, or
+// the empty slot where k belongs: Fibonacci hashing to the top bits (shift
+// is 32 − log₂ len(table)), then linear probing.
+func joinProbe(table []joinSlot, shift int, k int32) *joinSlot {
+	mask := uint32(len(table) - 1)
+	h := uint32(k) * 0x9E3779B9 >> shift
+	for table[h].src1 != 0 && table[h].key != k {
+		h = (h + 1) & mask
+	}
+	return &table[h]
+}
+
+// rarJoin is RAR with no injector and audit off. It makes the callbacks and
+// charges of the bank path in the same order, so steps, answers and budget
+// and cancel verdicts are those of the bank path:
+//   - one walk of the view calls key(i) then request(i) for i = 0…m−1;
+//   - a later record with an equal key replaces the earlier one, as the
+//     stable sort and copy-scan let the last record in index order win;
+//   - the double sort, the double scan and the sort back are charged as
+//     three charges before the first delivery, and one step after the last;
+//   - requests are delivered in ascending origin order, value(src) is
+//     called once per found request, and a missing key delivers nil with
+//     found == false.
+//
+// The table (linear probing, at most half full) and the request bank live
+// on the stack for views of up to stackBank cells and come from the arena
+// for larger ones, so the join allocates nothing.
+func rarJoin[K ~int32, V any](v View,
+	key func(local int) (K, bool),
+	value func(local int) *V,
+	request func(local int) (key K, ok bool),
+	deliver func(local int, val *V, found bool),
+) {
+	m := v.Size()
+	bits := 1
+	for 1<<bits < 2*m {
+		bits++
+	}
+	var stackTable [2 * stackBank]joinSlot
+	var stackReqs [stackBank]joinReq
+	var arenaTable []joinSlot // nil while the table fits on the stack
+	var arenaReqs []joinReq
+	var table []joinSlot
+	var reqs []joinReq
+	if m <= stackBank {
+		table, reqs = stackTable[:1<<bits], stackReqs[:0]
+	} else {
+		arenaTable = Checkout[joinSlot](v.m, 1<<bits)
+		arenaReqs = Checkout[joinReq](v.m, m)
+		clear(arenaTable)
+		table, reqs = arenaTable, arenaReqs[:0]
+	}
+	shift := 32 - bits
+	for i := 0; i < m; i++ {
+		if k, ok := key(i); ok {
+			*joinProbe(table, shift, int32(k)) = joinSlot{int32(k), int32(i) + 1}
+		}
+		if k, ok := request(i); ok {
+			reqs = append(reqs, joinReq{int32(k), int32(i)})
+		}
+	}
+	v.charge(OpSort, 2*v.rowMajorSortCost())
+	v.charge(OpScan, 2*v.scanCost())
+	v.charge(OpSort, v.rowMajorSortCost())
+	for _, r := range reqs {
+		if src1 := joinProbe(table, shift, r.key).src1; src1 != 0 {
+			deliver(int(r.origin), value(int(src1-1)), true)
+		} else {
+			deliver(int(r.origin), nil, false)
+		}
+	}
+	if arenaTable != nil {
+		Release(v.m, arenaTable)
+		Release(v.m, arenaReqs)
+	}
 	v.charge(OpRAR, 1)
 }
 

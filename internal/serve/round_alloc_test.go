@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"context"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/mesh"
@@ -108,5 +110,62 @@ func TestCoreRoundAllocsPinned(t *testing.T) {
 		}); a != 0 {
 			t.Errorf("%s batch %d: Extract allocates %.0f per batch, want 0", pin.kind, batch, a)
 		}
+	}
+}
+
+// lookupPin is the allocations and bytes, on every goroutine a lookup
+// wakes, of one sequential Instance.Lookup on a side-8 instance with
+// observability off, once its rounds are warm. They include the round's
+// RunParallel state, View.Partition's views, its argument slice and run
+// label (ROADMAP item 2(d) breaks them down). A batch slice made per batch
+// (4 KiB at side 8) breaks the pin: collect reuses the slices the executor
+// hands back.
+var lookupPin = struct {
+	allocs float64
+	bytes  uint64
+}{18, 9936}
+
+func TestLookupAllocsPinned(t *testing.T) {
+	if raceDetector {
+		// The race detector drops sync.Pool items at random, and a round's
+		// run label is formatted through fmt's pooled printers.
+		t.Skip("allocation counts are not deterministic under the race detector")
+	}
+	s, err := New(Config{Side: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	}()
+	ctx := context.Background()
+	var key int64
+	lookup := func() {
+		key = (key + 1) % 40
+		if _, err := s.Lookup(ctx, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		lookup() // warm the arena, the registers and the spare batch slices
+	}
+	// Measure with one P, as AllocsPerRun does, so the bytes count sees
+	// the same schedule as the allocation count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	allocs := testing.AllocsPerRun(50, lookup)
+	const lookups = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < lookups; i++ {
+		lookup()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / lookups
+	t.Logf("%.0f allocs and %d B per lookup", allocs, bytes)
+	if allocs > lookupPin.allocs || bytes > lookupPin.bytes+bytesSlack {
+		t.Errorf("%.0f allocs and %d B per lookup, pinned at %.0f allocs and %d B",
+			allocs, bytes, lookupPin.allocs, lookupPin.bytes)
 	}
 }

@@ -277,6 +277,11 @@ type kindRuntime struct {
 	queue    chan request
 	budget   int64
 	maxBatch int // requests per round: Config.MaxBatch / PerRequest
+	// spare holds batch slices the executor has served, for collect to
+	// reuse. A kind has at most three batches at once (one assembling, one
+	// in the one-slot pipeline channel, one in its round), so three spares
+	// keep every slice it ever made once it falls idle.
+	spare chan []request
 
 	rounds, served, degraded, simSteps atomic.Int64
 	lat                                obs.Histogram
@@ -443,6 +448,7 @@ func New(cfg Config) (*Instance, error) {
 			queue:    make(chan request, depth),
 			budget:   cfg.Budget,
 			maxBatch: max(1, maxBatch/per),
+			spare:    make(chan []request, 3),
 		}
 		if kb, ok := cfg.KindBudgets[k]; ok {
 			kr.budget = kb
@@ -771,7 +777,7 @@ func (s *Instance) collect(kr *kindRuntime) {
 		if first.tr != nil {
 			first.tr.Mark(obs.StageQueue)
 		}
-		batch := append(make([]request, 0, kr.maxBatch), first)
+		batch := append(kr.takeBatch(), first)
 		// Deadline-budget linger rung (DESIGN.md §3.11): lingering is spending
 		// the first request's budget, so cap the fill window at what its
 		// deadline can afford after one expected round. A batch whose opener
@@ -821,6 +827,27 @@ func (s *Instance) collect(kr *kindRuntime) {
 	}
 }
 
+// takeBatch returns an empty batch slice with room for the kind's batch
+// cap: a served batch's slice when one is spare, else a new one.
+func (kr *kindRuntime) takeBatch() []request {
+	select {
+	case b := <-kr.spare:
+		return b
+	default:
+		return make([]request, 0, kr.maxBatch)
+	}
+}
+
+// giveBatch hands a served batch's slice back to its kind. It is cleared
+// first, so no response channel or trace stays reachable from the spare.
+func (kr *kindRuntime) giveBatch(b []request) {
+	clear(b)
+	select {
+	case kr.spare <- b[:0]:
+	default:
+	}
+}
+
 // execute serves batches and Canary requests until every collector drains.
 // It is the only goroutine that touches the mesh, which is what makes the
 // recovery ladder's audit and budget toggling and breaker bookkeeping
@@ -834,6 +861,7 @@ func (s *Instance) execute() {
 				return
 			}
 			s.serveBatch(b.kr, b.reqs)
+			b.kr.giveBatch(b.reqs)
 		case done := <-s.canaries:
 			done <- s.runCanary()
 		}
