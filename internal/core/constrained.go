@@ -320,43 +320,13 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 	// Step 6: log₂n advancement rounds inside every δ-submesh, all
 	// submeshes in parallel, layers in sequence within a submesh.
 	endAdvance := trace.Span(v, "advance")
-	subs := v.Partition(plan.grid, plan.grid)
-	advanced := mesh.Checkout[int64](in.M, len(subs))
-	defer mesh.Release(in.M, advanced)
-	clear(advanced)
-	layers := st.Layers
-	v.RunParallel(subs, func(si int, sub mesh.View) {
-		for l := 0; l < layers; l++ {
-			copies, staged := in.layer(l)
-			live := mesh.Count(sub, staged, func(q *Query) bool { return q.ID != NoQuery && q.Mark })
-			for it := 0; it < steps && live > 0; it++ {
-				mesh.RAR(sub,
-					func(i int) (graph.VertexID, bool) {
-						id := mesh.Ref(sub, copies, i).ID
-						return id, id != graph.Nil
-					},
-					func(i int) *graph.Vertex { return mesh.Ref(sub, copies, i) },
-					func(i int) (graph.VertexID, bool) {
-						q := mesh.Ref(sub, staged, i)
-						return q.Cur, q.ID != NoQuery && q.Mark
-					},
-					func(i int, nd *graph.Vertex, found bool) {
-						q := mesh.Ref(sub, staged, i)
-						if !found {
-							panic(fmt.Sprintf("core: staged query %d missing vertex %d in its δ-submesh copy", q.ID, q.Cur))
-						}
-						oldPart := q.partFor(slot)
-						Visit(in.F, nd, q)
-						advanced[si]++
-						if q.Done || q.partFor(slot) != oldPart {
-							q.Mark = false
-							live--
-						}
-					})
-			}
-		}
-	})
-	for _, a := range advanced {
+	adv := in.advanceStep()
+	adv.layers, adv.steps, adv.slot = st.Layers, steps, slot
+	adv.advanced = mesh.Checkout[int64](in.M, plan.phys)
+	defer mesh.Release(in.M, adv.advanced)
+	clear(adv.advanced)
+	v.RunGrid(plan.grid, plan.grid, in.advanceBody)
+	for _, a := range adv.advanced {
 		st.Advanced += a
 	}
 	endAdvance()
@@ -377,4 +347,60 @@ func ConstrainedMultisearch(v mesh.View, in *Instance, slot graph.Slot, maxPart,
 	})
 	endReturn()
 	return st
+}
+
+// advance is step 6's per-call state. It lives on the instance, and the
+// body RunGrid runs is its run method, bound once (advanceStep), so the
+// step allocates nothing.
+type advance struct {
+	in       *Instance
+	layers   int
+	steps    int
+	slot     graph.Slot
+	advanced []int64 // advancement steps per δ-submesh
+}
+
+// advanceStep returns the instance's step-6 state, binding its body on
+// first use.
+func (in *Instance) advanceStep() *advance {
+	if in.advanceBody == nil {
+		in.adv.in = in
+		in.advanceBody = in.adv.run
+	}
+	return &in.adv
+}
+
+// run is step 6 inside δ-submesh si: the layers in sequence, each advancing
+// its marked queries by up to steps local RARs.
+func (a *advance) run(si int, sub mesh.View) {
+	in, slot := a.in, a.slot
+	for l := 0; l < a.layers; l++ {
+		copies, staged := in.layer(l)
+		live := mesh.Count(sub, staged, func(q *Query) bool { return q.ID != NoQuery && q.Mark })
+		for it := 0; it < a.steps && live > 0; it++ {
+			mesh.RAR(sub,
+				func(i int) (graph.VertexID, bool) {
+					id := mesh.Ref(sub, copies, i).ID
+					return id, id != graph.Nil
+				},
+				func(i int) *graph.Vertex { return mesh.Ref(sub, copies, i) },
+				func(i int) (graph.VertexID, bool) {
+					q := mesh.Ref(sub, staged, i)
+					return q.Cur, q.ID != NoQuery && q.Mark
+				},
+				func(i int, nd *graph.Vertex, found bool) {
+					q := mesh.Ref(sub, staged, i)
+					if !found {
+						panic(fmt.Sprintf("core: staged query %d missing vertex %d in its δ-submesh copy", q.ID, q.Cur))
+					}
+					oldPart := q.partFor(slot)
+					Visit(in.F, nd, q)
+					a.advanced[si]++
+					if q.Done || q.partFor(slot) != oldPart {
+						q.Mark = false
+						live--
+					}
+				})
+		}
+	}
 }

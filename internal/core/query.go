@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/mesh"
@@ -109,6 +110,11 @@ type Instance struct {
 	copies []*mesh.Reg[graph.Vertex]
 	staged []*mesh.Reg[Query]
 	hdag   *hdagRegs // Algorithm 1's registers (hdagsearch.go)
+
+	// adv is Constrained-Multisearch's step-6 state and advanceBody its
+	// bound body (constrained.go).
+	adv         advance
+	advanceBody func(si int, sub mesh.View)
 }
 
 // maxLayers bounds the number of virtual δ-submesh layers; each layer is
@@ -252,12 +258,21 @@ func (in *Instance) Unfinished(v mesh.View) int {
 // straight from its cell; if two cells claim one ID, the later cell in
 // row-major order wins.
 func (in *Instance) ResultQueries() []Query {
+	return in.AppendResultQueries(make([]Query, 0, in.NumQ))
+}
+
+// AppendResultQueries is ResultQueries appending the records to dst: a
+// serving executor reuses one slice per kind.
+func (in *Instance) AppendResultQueries(dst []Query) []Query {
 	root := in.M.Root()
-	out := make([]Query, in.NumQ)
+	base := len(dst)
+	dst = slices.Grow(dst, in.NumQ)[:base+in.NumQ]
+	out := dst[base:]
+	clear(out)
 	for i, n := 0, root.Size(); i < n; i++ {
 		if q := mesh.Ref(root, in.Queries, i); q.ID != NoQuery {
 			out[q.ID] = *q
 		}
 	}
-	return out
+	return dst
 }

@@ -229,10 +229,17 @@ func Successor(v *graph.Vertex, q *core.Query) (int, bool) {
 func (t *BTree) NewQueries(needles []int64) []core.Query {
 	qs := make([]core.Query, len(needles))
 	for i, k := range needles {
-		qs[i].Cur = t.Root
-		qs[i].State[stateNeedle] = k
+		qs[i] = t.Query(k)
 	}
 	return qs
+}
+
+// Query builds one membership query for needle, starting at the root.
+func (t *BTree) Query(needle int64) core.Query {
+	var q core.Query
+	q.Cur = t.Root
+	q.State[stateNeedle] = needle
+	return q
 }
 
 // InstallSplitter installs a normalized α-splitting (depth cut at half

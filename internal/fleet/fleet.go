@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/dict"
+	"repro/internal/freelist"
 	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -172,6 +173,9 @@ type Fleet struct {
 	ejectProbes    atomic.Int64 // latency probes sent to ejected replicas
 	hedgeDelayNS   atomic.Int64 // cached derived hedge delay
 	hedgeDelayAt   atomic.Int64 // unix ns the cache was filled
+
+	pickers  freelist.List[*picker] // routing scratch for reuse (takePicker)
+	jsonBufs freelist.List[*[]byte] // /search response buffers (writeResult)
 
 	probeWake   chan struct{}      // one pending early pass (wakeOnFault)
 	probeCancel context.CancelFunc // stops the prober
@@ -320,22 +324,28 @@ func (f *Fleet) replicaHealth(inst *serve.Instance) Health {
 // views snapshots every replica for the routing policy.
 func (f *Fleet) views() []ReplicaView {
 	out := make([]ReplicaView, len(f.reps))
-	for i, r := range f.reps {
-		r.mu.RLock()
-		inst, down := r.inst, r.down
-		r.mu.RUnlock()
-		v := ReplicaView{Index: i}
-		if !down && inst != nil {
-			v.Up = true
-			v.Health = f.replicaHealth(inst)
-			v.QueueLen = inst.QueueLen()
-			v.QueueCap = inst.QueueCap()
-			v.LatencyEWMA = time.Duration(r.ewmaNS.Load())
-			v.Ejected = r.ejected.Load()
-		}
-		out[i] = v
+	for i := range out {
+		out[i] = f.view(i)
 	}
 	return out
+}
+
+// view snapshots replica i for the routing policy.
+func (f *Fleet) view(i int) ReplicaView {
+	r := f.reps[i]
+	r.mu.RLock()
+	inst, down := r.inst, r.down
+	r.mu.RUnlock()
+	v := ReplicaView{Index: i}
+	if !down && inst != nil {
+		v.Up = true
+		v.Health = f.replicaHealth(inst)
+		v.QueueLen = inst.QueueLen()
+		v.QueueCap = inst.QueueCap()
+		v.LatencyEWMA = time.Duration(r.ewmaNS.Load())
+		v.Ejected = r.ejected.Load()
+	}
+	return v
 }
 
 // Lookup dispatches one membership query — LookupKind with the membership
@@ -354,7 +364,9 @@ func (f *Fleet) Lookup(ctx context.Context, needle int64) (Result, error) {
 // every attempt was refused and at least one because the deadline budget
 // could not cover a round, it reports ErrBudgetExhausted (DESIGN.md §3.11).
 func (f *Fleet) LookupKind(ctx context.Context, kind serve.Kind, args serve.Args) (Result, error) {
-	start := time.Now()
+	var d dispatch // field by field: a composite literal costs a second copy on the stack
+	d.kind, d.args, d.start = kind, args, time.Now()
+	d.firstIdx, d.refusedOnly = -1, true
 	if kind >= serve.NumKinds || f.ss.Get(kind) == nil {
 		// Replicas are built from one template, so a kind missing here is
 		// missing everywhere: fail fast instead of burning failover attempts
@@ -370,45 +382,34 @@ func (f *Fleet) LookupKind(ctx context.Context, kind serve.Kind, args serve.Args
 	// one here (and then finish it here — creator finalizes). The same trace
 	// rides ctx into every instance dispatch, so one record accumulates the
 	// admit/queue/linger/mesh marks of every replica it visited.
-	var tr *obs.ReqTrace
-	created := false
 	if f.obs != nil {
-		if tr = obs.FromContext(ctx); tr == nil {
-			tr = f.obs.BeginClass(int(kind), obs.ParentFromContext(ctx), args[0], start)
-			created = true
-		}
-		ctx = obs.NewContext(ctx, tr)
+		ctx = f.beginTrace(ctx, &d)
 	}
 
 	var tried uint64
-	var lastErr error
-	attempts, firstIdx := 0, -1
-	// refusedOnly: every attempt so far was turned away without a fault —
-	// admission overload or a deadline-budget shed. shed: at least one was a
-	// budget shed. Neither verdict is the oracle's to overrule.
-	refusedOnly, shed := true, false
+	var res Result
 	deadline, hasDeadline := ctx.Deadline()
-	for attempts <= f.maxFailovers {
+	for d.attempts <= f.maxFailovers {
 		idx := f.pick(tried)
 		if idx < 0 {
 			break
 		}
 		tried |= 1 << uint(idx)
-		attempts++
-		if firstIdx >= 0 {
+		d.attempts++
+		if d.firstIdx >= 0 {
 			f.failovers.Add(1)
-			if tr != nil {
+			if d.tr != nil {
 				// The hop span: previous replica's failure surfacing here →
 				// this re-dispatch. The next admit span starts at this mark.
-				tr.Mark(obs.StageFailover)
+				d.tr.Mark(obs.StageFailover)
 			}
 		} else {
-			firstIdx = idx
+			d.firstIdx = idx
 		}
 		inst := f.instance(idx)
 		if inst == nil {
-			lastErr = ErrNoReplica // crashed between the view and the fetch
-			refusedOnly = false
+			d.lastErr = ErrNoReplica // crashed between the view and the fetch
+			d.refusedOnly = false
 			continue
 		}
 		// Failover budget rung (§3.11): re-dispatching to a replica whose
@@ -417,60 +418,123 @@ func (f *Fleet) LookupKind(ctx context.Context, kind serve.Kind, args serve.Args
 		// prediction is what makes this gray-failure-aware: a latency-
 		// injected replica honestly predicts long rounds, so tight-deadline
 		// lookups route past it while generous ones may still use it.
-		if hasDeadline {
-			if need := inst.ExpectedRoundTime(kind); need > 0 && time.Until(deadline) < need {
-				lastErr = serve.ErrBudgetExhausted
-				shed = true
-				f.budgetShed.Add(1)
-				continue
-			}
+		if hasDeadline && f.doomed(inst, kind, deadline) {
+			d.lastErr = serve.ErrBudgetExhausted
+			d.shed = true
+			continue
 		}
-		res, servedIdx, hedgeWon, err := f.dispatchHedged(ctx, kind, args, idx, inst, &tried)
+		hedgeWon, err := f.dispatchHedged(ctx, &res, kind, args, idx, inst, &tried)
 		if err == nil {
-			failedOver := idx != firstIdx
-			if failedOver {
-				f.failoverServed.Add(1)
-			}
-			e2e := time.Since(start)
-			f.lat.Observe(e2e)
-			f.kindServed[kind].Add(1)
-			f.kindLat[kind].Observe(e2e)
-			if failedOver {
-				f.latFailover.Observe(e2e)
-			}
-			if tr != nil {
-				tr.Replica = servedIdx
-			}
-			if created {
-				oc := obs.OutcomeMesh
-				if failedOver || hedgeWon {
-					oc = obs.OutcomeFailover
-				} else if res.Degraded {
-					oc = obs.OutcomeDegraded
-				}
-				f.obs.Finish(tr, oc, nil)
-			}
-			return Result{Result: res, Replica: servedIdx}, nil
+			f.answered(&d, &res, idx != d.firstIdx, hedgeWon)
+			return res, nil
 		}
-		if ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		if ctx.Err() != nil && contextErr(err) {
 			// The client is gone, not the replica. The instance's pipeline
 			// may still hold the trace, so it can only be abandoned.
-			if created {
-				f.obs.Abandon(tr)
+			if d.created {
+				f.obs.Abandon(d.tr)
 			}
 			return Result{}, err
 		}
-		lastErr = err
+		d.lastErr = err
 		switch {
 		case errors.Is(err, serve.ErrBudgetExhausted):
-			shed = true
+			d.shed = true
 		case !errors.Is(err, serve.ErrOverloaded):
-			refusedOnly = false
+			d.refusedOnly = false
 		}
 	}
+	err := f.unanswered(&d, &res)
+	return res, err
+}
 
+// dispatch is one lookup's record across the failover loop. The loop's
+// rare paths take it by pointer, out of line.
+type dispatch struct {
+	kind  serve.Kind
+	args  serve.Args
+	start time.Time
+	// tr is the lookup's request trace (nil with observability off);
+	// created says this lookup began it and so must finish it.
+	tr      *obs.ReqTrace
+	created bool
+
+	attempts, firstIdx int
+	lastErr            error
+	// refusedOnly: every attempt so far was turned away without a fault —
+	// admission overload or a deadline-budget shed. shed: at least one was
+	// a budget shed. Neither verdict is the oracle's to overrule.
+	refusedOnly, shed bool
+}
+
+// beginTrace adopts the request trace ctx carries, or begins one that the
+// lookup then finishes, and returns ctx carrying it.
+//
+//go:noinline
+func (f *Fleet) beginTrace(ctx context.Context, d *dispatch) context.Context {
+	if d.tr = obs.FromContext(ctx); d.tr == nil {
+		d.tr = f.obs.BeginClass(int(d.kind), obs.ParentFromContext(ctx), d.args[0], d.start)
+		d.created = true
+	}
+	return obs.NewContext(ctx, d.tr)
+}
+
+// doomed reports whether inst's expected round time exceeds what is left
+// before deadline, counting the fleet-side shed when it does.
+//
+//go:noinline
+func (f *Fleet) doomed(inst *serve.Instance, kind serve.Kind, deadline time.Time) bool {
+	if need := inst.ExpectedRoundTime(kind); need > 0 && time.Until(deadline) < need {
+		f.budgetShed.Add(1)
+		return true
+	}
+	return false
+}
+
+// contextErr reports whether err is a context's cancellation or deadline
+// error.
+func contextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// answered records a replica's answer: latency, per-kind and failover
+// accounting, and the trace if the lookup began it.
+//
+//go:noinline
+func (f *Fleet) answered(d *dispatch, res *Result, failedOver, hedgeWon bool) {
+	if failedOver {
+		f.failoverServed.Add(1)
+	}
+	e2e := time.Since(d.start)
+	f.lat.Observe(e2e)
+	f.kindServed[d.kind].Add(1)
+	f.kindLat[d.kind].Observe(e2e)
+	if failedOver {
+		f.latFailover.Observe(e2e)
+	}
+	if d.tr != nil {
+		d.tr.Replica = res.Replica
+	}
+	if d.created {
+		oc := obs.OutcomeMesh
+		if failedOver || hedgeWon {
+			oc = obs.OutcomeFailover
+		} else if res.Degraded {
+			oc = obs.OutcomeDegraded
+		}
+		f.obs.Finish(d.tr, oc, nil)
+	}
+}
+
+// unanswered ends a lookup no replica answered: a budget shed or
+// backpressure when every attempt was refused, else the oracle rung (or,
+// with DisableOracle, the last fault). The oracle's answer goes to out.
+//
+//go:noinline
+func (f *Fleet) unanswered(d *dispatch, out *Result) error {
+	kind, tr, created := d.kind, d.tr, d.created
 	switch {
-	case attempts > 0 && refusedOnly && shed:
+	case d.attempts > 0 && d.refusedOnly && d.shed:
 		// No replica could answer inside the remaining deadline budget: the
 		// work is doomed, so it is shed (504 over HTTP). An instant oracle
 		// answer instead would hide the shed and turn the deadline's last
@@ -478,8 +542,8 @@ func (f *Fleet) LookupKind(ctx context.Context, kind serve.Kind, args serve.Args
 		if created {
 			f.obs.Finish(tr, obs.OutcomeError, serve.ErrBudgetExhausted)
 		}
-		return Result{}, serve.ErrBudgetExhausted
-	case attempts > 0 && refusedOnly:
+		return serve.ErrBudgetExhausted
+	case d.attempts > 0 && d.refusedOnly:
 		// Every routable replica is admission-full: backpressure. The
 		// oracle must not absorb overload — it would turn saturation into
 		// an unbounded degraded-answer pool and hide the knee.
@@ -487,27 +551,27 @@ func (f *Fleet) LookupKind(ctx context.Context, kind serve.Kind, args serve.Args
 		if created {
 			f.obs.Finish(tr, obs.OutcomeRejected, serve.ErrOverloaded)
 		}
-		return Result{}, serve.ErrOverloaded
-	case attempts == 0:
+		return serve.ErrOverloaded
+	case d.attempts == 0:
 		f.unrouted.Add(1)
-		if lastErr == nil {
-			lastErr = ErrNoReplica
+		if d.lastErr == nil {
+			d.lastErr = ErrNoReplica
 		}
 	}
 	if f.cfg.DisableOracle {
 		if created {
-			f.obs.Finish(tr, obs.OutcomeError, lastErr)
+			f.obs.Finish(tr, obs.OutcomeError, d.lastErr)
 		}
-		return Result{}, lastErr
+		return d.lastErr
 	}
 	// Oracle rung: no replica could answer (all crashed, draining, or
 	// faulting). The kind's host-side structure descends its own search
 	// graph — correct, Degraded-flagged, unaccounted in mesh steps.
-	ans := serve.HostAnswer(f.ss.Get(kind), args)
+	ans := serve.HostAnswer(f.ss.Get(kind), d.args)
 	f.oracleServed.Add(1)
 	f.kindServed[kind].Add(1)
 	f.kindOracle[kind].Add(1)
-	e2e := time.Since(start)
+	e2e := time.Since(d.start)
 	f.lat.Observe(e2e)
 	f.latOracle.Observe(e2e)
 	f.kindLat[kind].Observe(e2e)
@@ -518,10 +582,10 @@ func (f *Fleet) LookupKind(ctx context.Context, kind serve.Kind, args serve.Args
 	if created {
 		f.obs.Finish(tr, obs.OutcomeOracle, nil)
 	}
-	return Result{
+	*out = Result{
 		Result: serve.Result{
 			Kind:     kind,
-			Needle:   args[0],
+			Needle:   d.args[0],
 			Found:    ans.Found,
 			LeafKey:  ans.Value,
 			Value:    ans.Value,
@@ -530,7 +594,8 @@ func (f *Fleet) LookupKind(ctx context.Context, kind serve.Kind, args serve.Args
 			Degraded: true,
 		},
 		Replica: -1,
-	}, nil
+	}
+	return nil
 }
 
 // CrashReplica simulates an instance crash: the replica is immediately
@@ -627,8 +692,8 @@ func (f *Fleet) Health() Health {
 	if f.closed.Load() {
 		return LameDuck
 	}
-	for _, v := range f.views() {
-		if v.Up && v.Health == Healthy && !v.Ejected {
+	for i := range f.reps {
+		if v := f.view(i); v.Up && v.Health == Healthy && !v.Ejected {
 			return Healthy
 		}
 	}

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -13,19 +15,18 @@ import (
 )
 
 // FuzzParseSearch feeds a raw /search query string through the handler's
-// parse path (url.ParseQuery, serve.ParseKind, ParseSearchArgs). It must
-// never panic, and whatever parses must re-encode through SearchParams and
-// parse back to the same kind and arguments. The seed corpus
+// parse path (queryGet, serve.ParseKind, parseSearchQuery). It must never
+// panic, and whatever parses must re-encode through SearchParams and parse
+// back to the same kind and arguments. The seed corpus
 // (testdata/fuzz/FuzzParseSearch) covers every kind, aliases, the int64
 // extremes, signs, missing and duplicated parameters, and bad escapes.
 func FuzzParseSearch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw string) {
-		q, _ := url.ParseQuery(raw) // as r.URL.Query(): bad pairs are dropped
-		kind, err := serve.ParseKind(q.Get("kind"))
+		kind, err := serve.ParseKind(queryGet(raw, "kind"))
 		if err != nil {
 			return
 		}
-		args, err := ParseSearchArgs(kind, q)
+		args, err := parseSearchQuery(kind, raw)
 		if err != nil {
 			return
 		}
@@ -33,17 +34,66 @@ func FuzzParseSearch(f *testing.F) {
 		for i, name := range SearchParams[kind] {
 			enc.Set(name, strconv.FormatInt(args[i], 10))
 		}
-		q2, err := url.ParseQuery(enc.Encode())
-		if err != nil {
-			t.Fatalf("re-encoded query %q does not parse: %v", enc.Encode(), err)
-		}
-		kind2, err := serve.ParseKind(q2.Get("kind"))
+		kind2, err := serve.ParseKind(queryGet(enc.Encode(), "kind"))
 		if err != nil || kind2 != kind {
 			t.Fatalf("%q: kind %s re-parsed as %v (err %v)", raw, kind, kind2, err)
 		}
-		args2, err := ParseSearchArgs(kind2, q2)
+		args2, err := parseSearchQuery(kind2, enc.Encode())
 		if err != nil || args2 != args {
 			t.Fatalf("%q: args %v re-parsed as %v (err %v)", raw, args, args2, err)
+		}
+	})
+}
+
+// FuzzSearchQuery checks the handler's raw-query parser against the
+// url.Values one it replaced: for any query string, queryGet and
+// parseSearchQuery give what url.ParseQuery, Values.Get and
+// ParseSearchArgs give — the same kind parameter, and the same arguments
+// or the same error. The seed corpus (testdata/fuzz/FuzzSearchQuery)
+// covers %-escapes, '+', ';', bad escapes in keys and values, and
+// duplicate and empty keys.
+func FuzzSearchQuery(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw string) {
+		q, _ := url.ParseQuery(raw) // as r.URL.Query(): bad pairs are dropped
+		for _, name := range []string{"kind", "key", "x", "y", "lo", "hi", "dx", "dy", "dz", ""} {
+			if got, want := queryGet(raw, name), q.Get(name); got != want {
+				t.Fatalf("%q: queryGet(%q) = %q, url.Values says %q", raw, name, got, want)
+			}
+		}
+		for kind := serve.Kind(0); kind < serve.NumKinds; kind++ {
+			want, werr := ParseSearchArgs(kind, q)
+			got, gerr := parseSearchQuery(kind, raw)
+			if (werr == nil) != (gerr == nil) || got != want ||
+				(werr != nil && werr.Error() != gerr.Error()) {
+				t.Fatalf("%q: %s parsed as %v (err %v), url.Values gives %v (err %v)", raw, kind, got, gerr, want, werr)
+			}
+		}
+	})
+}
+
+// FuzzSearchJSON checks the /search answer encoder against encoding/json:
+// appendResult must write exactly what a json.Encoder with SetIndent("",
+// " ") writes for the same Result — every field, aux and degraded set and
+// unset, negative and extreme values, and replica −1 for an oracle
+// answer. The seed corpus (testdata/fuzz/FuzzSearchJSON) holds those
+// cases for every kind.
+func FuzzSearchJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, kind uint8, needle, leaf, value, aux int64, found, degraded bool, steps int32, round int64, replica int) {
+		res := Result{
+			Result: serve.Result{
+				Kind: serve.Kind(kind), Needle: needle, Found: found, LeafKey: leaf, Value: value,
+				Aux: aux, Steps: steps, Round: round, Degraded: degraded,
+			},
+			Replica: replica,
+		}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", " ")
+		if err := enc.Encode(res); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendResult(nil, &res); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("appendResult wrote\n%s\nencoding/json writes\n%s", got, want.Bytes())
 		}
 	})
 }

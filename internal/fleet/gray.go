@@ -26,8 +26,8 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -124,7 +124,8 @@ func (f *Fleet) noteLatency(i int, d time.Duration) {
 // included — with few replicas, excluding the outlier would make the
 // median circular). Zero when no replica qualifies yet.
 func (f *Fleet) latencyMedian() time.Duration {
-	var scores []int64
+	var buf [MaxReplicas]int64
+	scores := buf[:0]
 	for _, r := range f.reps {
 		r.mu.RLock()
 		down := r.down
@@ -142,7 +143,7 @@ func (f *Fleet) latencyMedian() time.Duration {
 	if len(scores) == 0 {
 		return 0
 	}
-	sort.Slice(scores, func(a, b int) bool { return scores[a] < scores[b] })
+	slices.Sort(scores)
 	mid := len(scores) / 2
 	if len(scores)%2 == 0 {
 		return time.Duration((scores[mid-1] + scores[mid]) / 2)
@@ -177,13 +178,16 @@ func (f *Fleet) evalEjection(i int, n int64) {
 // routableBesides counts replicas other than i that could take traffic.
 func (f *Fleet) routableBesides(i int) int {
 	n := 0
-	for _, v := range f.views() {
-		if v.Index != i && routable(v, func(int) bool { return false }) {
+	for j := range f.reps {
+		if j != i && routable(f.view(j), skipNone) {
 			n++
 		}
 	}
 	return n
 }
+
+// skipNone is the skip predicate that skips no replica.
+func skipNone(int) bool { return false }
 
 func (f *Fleet) markEjected(i int) {
 	if f.reps[i].ejected.CompareAndSwap(false, true) {
@@ -264,10 +268,39 @@ func (f *Fleet) recomputeHedgeDelay(now int64) time.Duration {
 	return d
 }
 
+// picker is one pick's scratch: the replica views the policy reads and
+// the skip predicate over the replicas already tried, bound once to the
+// picker. The fleet keeps pickers for reuse, so a pick allocates nothing;
+// this is why a Policy must not retain views or skip past Pick.
+type picker struct {
+	views []ReplicaView
+	tried uint64
+	skip  func(int) bool
+}
+
+// takePicker returns a kept picker, or a new one, holding fresh views of
+// every replica and tried as its skip set. Give it back with
+// f.pickers.Put.
+func (f *Fleet) takePicker(tried uint64) *picker {
+	p, ok := f.pickers.Get()
+	if !ok {
+		p = &picker{views: make([]ReplicaView, len(f.reps))}
+		p.skip = func(i int) bool { return p.tried&(1<<uint(i)) != 0 }
+	}
+	for i := range p.views {
+		p.views[i] = f.view(i)
+	}
+	p.tried = tried
+	return p
+}
+
 // pickStrict picks the hedge target: next-preferred by the same policy,
 // never an ejected replica (hedging onto a known outlier helps nobody).
 func (f *Fleet) pickStrict(tried uint64) int {
-	return f.policy.Pick(f.views(), func(i int) bool { return tried&(1<<uint(i)) != 0 })
+	p := f.takePicker(tried)
+	idx := f.policy.Pick(p.views, p.skip)
+	f.pickers.Put(p)
+	return idx
 }
 
 // pick is the dispatch loop's replica choice: the policy's strict pick
@@ -275,28 +308,29 @@ func (f *Fleet) pickStrict(tried uint64) int {
 // ejection masked — a last resort, because an ejected replica's slow answer
 // still beats an oracle answer.
 func (f *Fleet) pick(tried uint64) int {
-	vs := f.views()
-	skip := func(i int) bool { return tried&(1<<uint(i)) != 0 }
-	if idx := f.policy.Pick(vs, skip); idx >= 0 {
+	p := f.takePicker(tried)
+	defer f.pickers.Put(p)
+	if idx := f.policy.Pick(p.views, p.skip); idx >= 0 {
 		return idx
 	}
 	masked := false
-	for i := range vs {
-		if vs[i].Ejected {
-			vs[i].Ejected = false
+	for i := range p.views {
+		if p.views[i].Ejected {
+			p.views[i].Ejected = false
 			masked = true
 		}
 	}
 	if !masked {
 		return -1
 	}
-	return f.policy.Pick(vs, skip)
+	return f.policy.Pick(p.views, p.skip)
 }
 
 // dispatchHedged runs one dispatch of the failover ladder against replica
 // primary, speculatively adding a second replica if the first has not
-// answered within the hedge delay. Returns the winning answer, which
-// replica produced it, and whether a hedge (not the primary) won.
+// answered within the hedge delay. It stores the winning answer and the
+// replica that produced it in out, and reports whether a hedge (not the
+// primary) won.
 //
 // Trace safety: the fleet trace on ctx is single-owner, and two racing
 // attempts would both write stage marks into it — so every hedged attempt
@@ -305,21 +339,29 @@ func (f *Fleet) pick(tried uint64) int {
 // fleet goroutine alone touches the fleet trace. With hedging off (or no
 // delay derivable yet) the dispatch is the plain single-attempt call on the
 // undetached ctx, exactly as before this mechanism existed.
-func (f *Fleet) dispatchHedged(ctx context.Context, kind serve.Kind, args serve.Args, primary int, inst *serve.Instance, tried *uint64) (serve.Result, int, bool, error) {
-	var delay time.Duration
+func (f *Fleet) dispatchHedged(ctx context.Context, out *Result, kind serve.Kind, args serve.Args, primary int, inst *serve.Instance, tried *uint64) (hedgeWon bool, err error) {
 	if f.cfg.Hedge.Enabled {
-		delay = f.hedgeDelay()
-	}
-	if delay <= 0 {
-		start := time.Now()
-		res, err := inst.LookupKind(ctx, kind, args)
-		if err == nil {
-			f.noteLatency(primary, time.Since(start))
+		if delay := f.hedgeDelay(); delay > 0 {
+			return f.dispatchRace(ctx, out, kind, args, primary, inst, tried, delay)
 		}
-		f.wakeOnFault(err)
-		return res, primary, false, err
 	}
+	start := time.Now()
+	out.Result, err = inst.LookupKind(ctx, kind, args)
+	if err == nil {
+		out.Replica = primary
+		f.noteLatency(primary, time.Since(start))
+	}
+	f.wakeOnFault(err)
+	return false, err
+}
 
+// dispatchRace is dispatchHedged with a hedge delay: the primary attempt
+// runs on its own goroutine, and a second replica joins it if the primary
+// has not answered within delay. It is kept out of line, so the unhedged
+// dispatch's frame stays small.
+//
+//go:noinline
+func (f *Fleet) dispatchRace(ctx context.Context, out *Result, kind serve.Kind, args serve.Args, primary int, inst *serve.Instance, tried *uint64, delay time.Duration) (bool, error) {
 	type attempt struct {
 		res serve.Result
 		err error
@@ -331,7 +373,7 @@ func (f *Fleet) dispatchHedged(ctx context.Context, kind serve.Kind, args serve.
 		start := time.Now()
 		res, err := in.LookupKind(c, kind, args)
 		d := time.Since(start)
-		if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if err == nil || contextErr(err) {
 			// A win trains the score; a cancelled loser ran *at least* d —
 			// the censored sample that lets a hedged-around replica still
 			// accumulate the slow evidence that ejects it.
@@ -390,10 +432,11 @@ func (f *Fleet) dispatchHedged(ctx context.Context, kind serve.Kind, args serve.
 				if win {
 					f.hedgeWins.Add(1)
 				}
-				return a.res, a.idx, win, nil
+				*out = Result{Result: a.res, Replica: a.idx}
+				return win, nil
 			}
 			lastErr = a.err
 		}
 	}
-	return serve.Result{}, primary, false, lastErr
+	return false, lastErr
 }

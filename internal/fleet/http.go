@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -65,15 +66,50 @@ var SearchParams = [serve.NumKinds][]string{
 // ParseSearchArgs extracts one kind's typed arguments from a /search query
 // string.
 func ParseSearchArgs(kind serve.Kind, q url.Values) (serve.Args, error) {
+	return searchArgs(kind, q.Get)
+}
+
+// parseSearchQuery is ParseSearchArgs over the raw query string, as the
+// /search handler reads it: the same arguments and errors, without
+// building the url.Values map.
+func parseSearchQuery(kind serve.Kind, raw string) (serve.Args, error) {
+	return searchArgs(kind, func(name string) string { return queryGet(raw, name) })
+}
+
+// searchArgs reads one kind's arguments through get, which returns a
+// parameter's first value.
+func searchArgs(kind serve.Kind, get func(name string) string) (serve.Args, error) {
 	var a serve.Args
 	for i, name := range SearchParams[kind] {
-		v, err := strconv.ParseInt(q.Get(name), 10, 64)
+		v, err := strconv.ParseInt(get(name), 10, 64)
 		if err != nil {
 			return a, fmt.Errorf("fleet: /search kind=%s needs an integer ?%s=", kind, name)
 		}
 		a[i] = v
 	}
 	return a, nil
+}
+
+// queryGet returns url.ParseQuery(raw).Get(key): the value of the first
+// pair whose key unescapes to key, skipping every pair ParseQuery drops
+// (empty, holding a ';', or with a bad escape in its key or value). It
+// builds no map, and unescaping allocates only for a '%' or a '+'.
+func queryGet(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // Handler returns the HTTP surface — the only one: a standalone server is a
@@ -147,13 +183,13 @@ func (f *Fleet) traceCtx(w http.ResponseWriter, r *http.Request) context.Context
 }
 
 func (f *Fleet) handleSearch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	kind, err := serve.ParseKind(q.Get("kind"))
+	raw := r.URL.RawQuery
+	kind, err := serve.ParseKind(queryGet(raw, "kind"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	args, err := ParseSearchArgs(kind, q)
+	args, err := parseSearchQuery(kind, raw)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -202,7 +238,58 @@ func (f *Fleet) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, res)
+	f.writeResult(w, &res)
+}
+
+// jsonContentType is /search's Content-Type header value. writeResult
+// assigns it to the header map instead of calling Set, which would make a
+// new one-value slice per response; net/http copies header values before
+// it writes them, so the shared slice is never changed.
+var jsonContentType = []string{"application/json"}
+
+// writeResult writes one /search answer: the bytes writeJSON writes for
+// it, from a reused buffer, in one Write.
+func (f *Fleet) writeResult(w http.ResponseWriter, res *Result) {
+	buf, ok := f.jsonBufs.Get()
+	if !ok {
+		buf = new([]byte)
+	}
+	*buf = appendResult((*buf)[:0], res)
+	w.Header()["Content-Type"] = jsonContentType
+	_, _ = w.Write(*buf)
+	f.jsonBufs.Put(buf)
+}
+
+// appendResult appends res as encoding/json writes it with one-space
+// indentation (json.Encoder with SetIndent("", " ")): the fields in
+// declaration order, aux and degraded only when set, and a final newline.
+func appendResult(b []byte, res *Result) []byte {
+	b = append(b, "{\n \"kind\": \""...)
+	b = append(b, res.Kind.String()...)
+	b = append(b, '"')
+	b = appendInt(b, "needle", res.Needle)
+	b = append(b, ",\n \"found\": "...)
+	b = strconv.AppendBool(b, res.Found)
+	b = appendInt(b, "leaf_key", res.LeafKey)
+	b = appendInt(b, "value", res.Value)
+	if res.Aux != 0 {
+		b = appendInt(b, "aux", res.Aux)
+	}
+	b = appendInt(b, "steps", int64(res.Steps))
+	b = appendInt(b, "round", res.Round)
+	if res.Degraded {
+		b = append(b, ",\n \"degraded\": true"...)
+	}
+	b = appendInt(b, "replica", int64(res.Replica))
+	return append(b, "\n}\n"...)
+}
+
+// appendInt appends one more integer field to appendResult's object.
+func appendInt(b []byte, name string, v int64) []byte {
+	b = append(b, ",\n \""...)
+	b = append(b, name...)
+	b = append(b, "\": "...)
+	return strconv.AppendInt(b, v, 10)
 }
 
 func (f *Fleet) handleHealthz(w http.ResponseWriter, _ *http.Request) {

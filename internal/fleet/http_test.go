@@ -4,11 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -205,7 +210,10 @@ func TestFleetHTTPAfterShutdown(t *testing.T) {
 // status codes: client errors are 400, backpressure and drain are 429/503
 // with a Retry-After hint, a budget shed is 504, a client-cancelled request
 // maps to the 4xx class (499/408) instead of polluting the 500 accounting,
-// and only a server-side failure stays 500.
+// and only a server-side failure stays 500. Every exported Err… variable
+// of serve and fleet, found by parsing their sources (typedErrors), must
+// have a row whose response carries it, so a new typed error cannot reach
+// /search unmapped.
 func TestFleetSearchStatusMapping(t *testing.T) {
 	stall := newStallInjector()
 	cases := []struct {
@@ -217,6 +225,7 @@ func TestFleetSearchStatusMapping(t *testing.T) {
 		setup      func(t *testing.T, f *Fleet)
 		want       int
 		retryAfter bool
+		err        error // the typed error the response must carry, if any
 	}{
 		{
 			name:   "ok",
@@ -241,6 +250,7 @@ func TestFleetSearchStatusMapping(t *testing.T) {
 			cfg:    Config{Instance: serve.Config{Side: 8}},
 			target: "/search?kind=pointloc&x=1&y=2",
 			want:   http.StatusBadRequest,
+			err:    serve.ErrKindNotServed,
 		},
 		{
 			// A long linger guarantees the round is still assembling when the
@@ -303,6 +313,7 @@ func TestFleetSearchStatusMapping(t *testing.T) {
 			},
 			want:       http.StatusTooManyRequests,
 			retryAfter: true,
+			err:        serve.ErrOverloaded,
 		},
 		{
 			name:   "budget shed",
@@ -311,6 +322,7 @@ func TestFleetSearchStatusMapping(t *testing.T) {
 			header: "10ms",
 			setup:  trainRoundTime,
 			want:   http.StatusGatewayTimeout,
+			err:    serve.ErrBudgetExhausted,
 		},
 		{
 			// Server-side failure (a 3-step budget no round fits, with no
@@ -320,6 +332,36 @@ func TestFleetSearchStatusMapping(t *testing.T) {
 			cfg:    Config{DisableOracle: true, Instance: serve.Config{Side: 8, Budget: 3}},
 			target: "/search?key=3",
 			want:   http.StatusInternalServerError,
+		},
+		{
+			// The failed round of the row above opens the only replica's
+			// circuit; with no oracle rung anywhere the next lookup's
+			// ErrCircuitOpen surfaces as a server-side 500.
+			name:   "circuit open",
+			cfg:    Config{DisableOracle: true, Instance: serve.Config{Side: 8, Budget: 3}},
+			target: "/search?key=3",
+			setup: func(t *testing.T, f *Fleet) {
+				if _, err := f.Lookup(context.Background(), 3); err == nil {
+					t.Fatal("a 3-step budget round answered")
+				}
+				if !f.instance(0).CircuitOpen() {
+					t.Fatal("circuit still closed after a terminal round failure")
+				}
+			},
+			want: http.StatusInternalServerError,
+			err:  serve.ErrCircuitOpen,
+		},
+		{
+			name:   "no replica",
+			cfg:    Config{DisableOracle: true, Instance: serve.Config{Side: 8}},
+			target: "/search?key=3",
+			setup: func(t *testing.T, f *Fleet) {
+				if err := f.CrashReplica(0); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: http.StatusInternalServerError,
+			err:  ErrNoReplica,
 		},
 		{
 			name:   "closed",
@@ -334,10 +376,15 @@ func TestFleetSearchStatusMapping(t *testing.T) {
 			},
 			want:       http.StatusServiceUnavailable,
 			retryAfter: true,
+			err:        serve.ErrClosed,
 		},
 	}
+	mapped := map[string]bool{} // typed error messages with a row
 	for _, tc := range cases {
 		tc := tc
+		if tc.err != nil {
+			mapped[tc.err.Error()] = true
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			f := newTestFleet(t, tc.cfg)
 			if tc.setup != nil {
@@ -358,8 +405,87 @@ func TestFleetSearchStatusMapping(t *testing.T) {
 			if tc.retryAfter && rec.Header().Get("Retry-After") == "" {
 				t.Fatalf("%s → %d without a Retry-After hint", tc.target, rec.Code)
 			}
+			if tc.err != nil && !strings.Contains(rec.Body.String(), tc.err.Error()) {
+				t.Fatalf("%s → %d %q, which does not carry %q", tc.target, rec.Code, rec.Body.String(), tc.err)
+			}
 		})
 	}
+	for name, msg := range typedErrors(t) {
+		if !mapped[msg] {
+			t.Errorf("%s (%q) has no row in the /search status table", name, msg)
+		}
+	}
+}
+
+// typedErrors parses the non-test sources of serve and fleet and returns
+// every exported Err… variable with its message, which each must declare
+// as errors.New("…").
+func typedErrors(t *testing.T) map[string]string {
+	t.Helper()
+	errs := map[string]string{}
+	for _, dir := range []string{"../serve", "."} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			af, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range af.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.VAR {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					vs := spec.(*ast.ValueSpec)
+					for i, id := range vs.Names {
+						if !strings.HasPrefix(id.Name, "Err") || !id.IsExported() {
+							continue
+						}
+						msg, ok := errorsNewMessage(vs, i)
+						if !ok {
+							t.Fatalf("%s: %s is not declared as errors.New(\"…\"), so its /search mapping cannot be checked", file, id.Name)
+						}
+						errs[id.Name] = msg
+					}
+				}
+			}
+		}
+	}
+	if len(errs) == 0 {
+		t.Fatal("found no typed errors: the enumeration is broken")
+	}
+	return errs
+}
+
+// errorsNewMessage returns the message of the i-th value of vs when it is
+// errors.New with a string literal.
+func errorsNewMessage(vs *ast.ValueSpec, i int) (string, bool) {
+	if i >= len(vs.Values) {
+		return "", false
+	}
+	call, ok := vs.Values[i].(*ast.CallExpr)
+	if !ok || len(call.Args) != 1 {
+		return "", false
+	}
+	fn, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || fn.Sel.Name != "New" {
+		return "", false
+	}
+	if pkg, ok := fn.X.(*ast.Ident); !ok || pkg.Name != "errors" {
+		return "", false
+	}
+	lit, ok := call.Args[0].(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	msg, err := strconv.Unquote(lit.Value)
+	return msg, err == nil
 }
 
 // trainRoundTime serves one lookup so the only replica's expected round

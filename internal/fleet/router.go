@@ -37,7 +37,8 @@ func routable(v ReplicaView, skip func(int) bool) bool {
 // Policy orders replicas for dispatch. Pick returns the preferred routable
 // replica index, or -1 when none qualifies; the dispatch loop calls it again
 // with the failed pick added to skip, so Pick's ordering *is* the failover
-// order.
+// order. Pick must not keep views or skip after it returns: the fleet
+// reuses both for later picks.
 type Policy interface {
 	Name() string
 	Pick(views []ReplicaView, skip func(int) bool) int

@@ -174,14 +174,22 @@ func CountSuccessor(v *graph.Vertex, q *core.Query) (int, bool) {
 // values (#Lo < b+1 = #Lo ≤ b; keys are integers). Both descents run the
 // same strict-below successor.
 func (ct *CountTree) NewQueries(ranges [][2]int64) []core.Query {
-	qs := make([]core.Query, 2*len(ranges))
-	for i, r := range ranges {
-		qs[2*i].Cur = ct.RootHi
-		qs[2*i].State[ctStateNeedle] = r[0] // count Hi < a
-		qs[2*i+1].Cur = ct.RootLo
-		qs[2*i+1].State[ctStateNeedle] = r[1] + 1 // count Lo < b+1 ⇒ Lo ≤ b
+	qs := make([]core.Query, 0, 2*len(ranges))
+	for _, r := range ranges {
+		qs = ct.AppendQueries(qs, r[0], r[1])
 	}
 	return qs
+}
+
+// AppendQueries appends the two rank queries of the intersection query
+// [a, b] to qs.
+func (ct *CountTree) AppendQueries(qs []core.Query, a, b int64) []core.Query {
+	var hi, lo core.Query
+	hi.Cur = ct.RootHi
+	hi.State[ctStateNeedle] = a // count Hi < a
+	lo.Cur = ct.RootLo
+	lo.State[ctStateNeedle] = b + 1 // count Lo < b+1 ⇒ Lo ≤ b
+	return append(qs, hi, lo)
 }
 
 // Counts combines the finished rank queries into intersection counts.

@@ -1,8 +1,10 @@
 package loadgen
 
 import (
+	"bytes"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -60,6 +62,41 @@ func FuzzParseKindMix(f *testing.F) {
 		}
 		if !slices.Equal(back.Kinds(), m.Kinds()) {
 			t.Fatalf("%q: String() %q parses to kinds %v, want %v", spec, m.String(), back.Kinds(), m.Kinds())
+		}
+	})
+}
+
+// FuzzReadTrace feeds a trace file to ReadTrace, as meshserve -trace-in
+// reads one from outside the program. It must never panic, and a trace it
+// accepts must round-trip: WriteTrace of what was read reads back to the
+// same header (at the current version) and the same events. The seed
+// corpus (testdata/fuzz/FuzzReadTrace) holds v1 and v2 traces, negative
+// and huge event counts, blank lines, out-of-order indices, a
+// non-monotone arrival clock and an unknown kind; the line past the
+// reader's 1 MiB limit is added here rather than committed.
+func FuzzReadTrace(f *testing.F) {
+	f.Add(`{"kind":"meshserve-workload-trace","version":2,"events":1}` + "\n" +
+		`{"i":0,"at_ns":0,"needle":1,"args":[1,0,0],"note":"` + strings.Repeat("x", 1<<20) + `"}` + "\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		h, events, err := ReadTrace(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, h, events); err != nil {
+			t.Fatalf("accepted trace does not write: %v", err)
+		}
+		h2, events2, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("written trace does not read back: %v\n%s", err, buf.Bytes())
+		}
+		want := h
+		want.Version = traceVersion
+		if h2 != want {
+			t.Fatalf("header read back as %+v, want %+v", h2, want)
+		}
+		if !slices.Equal(events, events2) {
+			t.Fatalf("events read back as %+v, want %+v", events2, events)
 		}
 	})
 }

@@ -98,7 +98,12 @@ func ReadTrace(r io.Reader) (TraceHeader, []TraceEvent, error) {
 		return TraceHeader{}, nil, fmt.Errorf("loadgen: not a v%d/v%d %s (got kind %q version %d)",
 			traceVersionV1, traceVersion, traceKind, h.Kind, h.Version)
 	}
-	events := make([]TraceEvent, 0, h.Events)
+	if h.Events < 0 {
+		return TraceHeader{}, nil, fmt.Errorf("loadgen: bad trace header: %d events", h.Events)
+	}
+	// The header's count is checked against the events read, never trusted
+	// to size memory: a file from outside the program can claim any count.
+	var events []TraceEvent
 	for sc.Scan() {
 		if len(sc.Bytes()) == 0 {
 			continue

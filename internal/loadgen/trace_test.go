@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -72,6 +73,31 @@ func TestTraceValidation(t *testing.T) {
 	}
 	if _, _, err := ReadTrace(&buf); err == nil {
 		t.Fatal("non-monotone trace accepted")
+	}
+}
+
+// TestReadTraceHeaderCounts: the header's event count comes from the file,
+// so a count that no events can match is refused with an error — it must
+// not size memory. A negative count used to panic in makeslice, and a
+// trillion events used to end the process out of memory.
+func TestReadTraceHeaderCounts(t *testing.T) {
+	event := `{"i":0,"at_ns":0,"kind":"membership","needle":3,"args":[3,0,0]}` + "\n"
+	for _, tc := range []struct {
+		name   string
+		events int64
+		body   string
+	}{
+		{"negative", -1, ""},
+		{"negative with events", -1, event},
+		{"a trillion", 1_000_000_000_000, event},
+		{"one more than written", 2, event},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := fmt.Sprintf(`{"kind":%q,"version":%d,"events":%d}`, traceKind, traceVersion, tc.events) + "\n" + tc.body
+			if _, _, err := ReadTrace(strings.NewReader(in)); err == nil {
+				t.Fatalf("trace claiming %d events accepted", tc.events)
+			}
+		})
 	}
 }
 

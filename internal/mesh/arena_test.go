@@ -1,7 +1,9 @@
 package mesh
 
 import (
+	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -156,7 +158,10 @@ func TestChargedSortsAllocFree(t *testing.T) {
 // Concurrent submesh bodies must be able to check pooled buffers in and out
 // without interfering; run with -race in CI. Each body sorts, RARs and
 // concentrates inside its own sub-view; the parent's registers elsewhere
-// must be untouched and every sub-view's result must be correct.
+// must be untouched and every sub-view's result must be correct. Each body
+// also fans out again, by RunGrid and by RunParallel, so nested and
+// concurrent calls take and give back the mesh's reused per-call state
+// while spawned bodies of other calls are still finishing.
 func TestRunParallelPooledStress(t *testing.T) {
 	m := New(32)
 	v := m.Root()
@@ -180,6 +185,18 @@ func TestRunParallelPooledStress(t *testing.T) {
 				})
 			Scan(sub, r, func(a, b int64) int64 { return max(a, b) })
 			Concentrate(sub, r, -1, func(x int64) bool { return x >= 0 })
+			// Nested fan-outs that leave the sorted running maxima intact:
+			// a per-quadrant count, and an in-place rewrite of each cell.
+			counts := make([]int, 4)
+			sub.RunGrid(2, 2, func(q int, quad View) {
+				counts[q] = Count(quad, r, func(x *int64) bool { return *x >= 0 })
+			})
+			if counts[0]+counts[1]+counts[2]+counts[3] != sub.Size() {
+				t.Errorf("sub %d: nested RunGrid counted %v of %d cells", idx, counts, sub.Size())
+			}
+			sub.RunParallel(sub.Partition(1, 2), func(_ int, half View) {
+				Apply(half, r, func(_ int, x *int64) { *x += 0 })
+			})
 		})
 		// After sorting, a running-max scan and a total concentrate, each
 		// sub-view must hold its original multiset's sorted-order maxima:
@@ -208,5 +225,64 @@ func BenchmarkRARSteadyState(b *testing.B) {
 			func(i int) (int32, bool) { return int32((i * 7) % v.Size()), true },
 			func(i int, val *int64, found bool) {},
 		)
+	}
+}
+
+// RunGrid is RunParallel over Partition's sub-views: the same bodies on
+// the same sub-views, the same charge. Its per-call state and sub-views
+// are the mesh's, so with a body that captures nothing a steady-state
+// call allocates nothing, nested calls included; RunParallel over
+// Partition allocates only the sub-view slice.
+func TestRunGridMatchesPartitionAndAllocatesNothing(t *testing.T) {
+	m := New(16, WithParallelism(2))
+	v := m.Root()
+	var got, want []View
+	var mu sync.Mutex
+	v.RunGrid(2, 4, func(i int, sub View) {
+		mu.Lock()
+		got = append(got, sub)
+		mu.Unlock()
+		sub.Charge(int64(i + 1))
+	})
+	gridSteps := m.Steps()
+	m.ResetSteps()
+	v.RunParallel(v.Partition(2, 4), func(i int, sub View) {
+		mu.Lock()
+		want = append(want, sub)
+		mu.Unlock()
+		sub.Charge(int64(i + 1))
+	})
+	if m.Steps() != gridSteps || gridSteps != 8 {
+		t.Fatalf("RunGrid charged %d steps, RunParallel over Partition %d, want 8", gridSteps, m.Steps())
+	}
+	origin := func(vs []View) map[[2]int]bool {
+		o := map[[2]int]bool{}
+		for _, s := range vs {
+			r, c := s.Origin()
+			o[[2]int{r, c}] = s.Rows() == 8 && s.Cols() == 4
+		}
+		return o
+	}
+	if g, w := origin(got), origin(want); len(g) != 8 || fmt.Sprint(g) != fmt.Sprint(w) {
+		t.Fatalf("RunGrid sub-views %v, Partition's %v", g, w)
+	}
+
+	grid := func() { v.RunGrid(4, 4, gridBody) }
+	grid()
+	if a := testing.AllocsPerRun(50, grid); a != 0 {
+		t.Errorf("steady-state RunGrid (nested) allocates %.0f per call, want 0", a)
+	}
+	par := func() { v.RunParallel(v.Partition(4, 4), gridBody) }
+	par()
+	if a := testing.AllocsPerRun(50, par); a != 1 {
+		t.Errorf("steady-state RunParallel over Partition allocates %.0f per call, want 1 (the sub-views)", a)
+	}
+}
+
+// gridBody charges a step and fans out once more.
+func gridBody(_ int, sub View) {
+	sub.Charge(1)
+	if sub.Rows() > 2 {
+		sub.RunGrid(2, 2, gridBody)
 	}
 }

@@ -29,8 +29,11 @@ import (
 	"math/bits"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/freelist"
 )
 
 // CostModel selects how compound operations (sorting in particular) are
@@ -74,8 +77,9 @@ type Mesh struct {
 	spawn   func()
 
 	// pools is the scratch-buffer arena: one free list per element type
-	// (see arena.go).
+	// (see arena.go). runs keeps RunParallel's per-call state.
 	pools sync.Map
+	runs  freelist.List[*parRun]
 
 	// Run control (see errors.go). budget 0 means unlimited; done is the
 	// Done channel of the context installed with WithContext (nil when the
@@ -342,17 +346,21 @@ func (v View) Sub(r0, c0, h, w int) View {
 // Partition splits the view into a gr×gc grid of equal sub-views, returned
 // in row-major grid order. gr must divide Rows and gc must divide Cols.
 func (v View) Partition(gr, gc int) []View {
+	return v.appendPartition(make([]View, 0, gr*gc), gr, gc)
+}
+
+// appendPartition appends Partition's sub-views to dst.
+func (v View) appendPartition(dst []View, gr, gc int) []View {
 	if gr <= 0 || gc <= 0 || v.h%gr != 0 || v.w%gc != 0 {
 		panic(fmt.Sprintf("mesh: Partition(%d,%d) does not divide %dx%d view", gr, gc, v.h, v.w))
 	}
 	sh, sw := v.h/gr, v.w/gc
-	subs := make([]View, 0, gr*gc)
 	for r := 0; r < gr; r++ {
 		for c := 0; c < gc; c++ {
-			subs = append(subs, v.Sub(r*sh, c*sw, sh, sw))
+			dst = append(dst, v.Sub(r*sh, c*sw, sh, sw))
 		}
 	}
-	return subs
+	return dst
 }
 
 // charge adds steps to the view's cost sink, attributed to class c in the
@@ -438,11 +446,28 @@ func (v View) RunParallel(subs []View, body func(idx int, sub View)) {
 	if len(subs) == 0 {
 		return
 	}
-	p := &parRun{m: v.m, subs: subs, body: body, sinks: make([]sink, len(subs))}
+	p := v.m.takeRun()
+	v.runParallel(p, subs, body)
+}
+
+// RunGrid partitions the view into a gr×gc grid of sub-views, as Partition
+// does, and runs body on them, as RunParallel does. The sub-views live in
+// the call's reused state, so a steady-state call allocates nothing; body
+// receives each one as its argument.
+func (v View) RunGrid(gr, gc int, body func(idx int, sub View)) {
+	p := v.m.takeRun()
+	p.grid = v.appendPartition(p.grid[:0], gr, gc)
+	v.runParallel(p, p.grid, body)
+}
+
+// runParallel is RunParallel on the state p, which it gives back to the
+// mesh when every body has finished.
+func (v View) runParallel(p *parRun, subs []View, body func(idx int, sub View)) {
+	p.subs, p.body = subs, body
 	base := v.sink.base + v.sink.steps
+	p.sinks = slices.Grow(p.sinks[:0], len(subs))[:len(subs)]
 	for i := range p.sinks {
-		p.sinks[i].parent = v.sink
-		p.sinks[i].base = base
+		p.sinks[i] = sink{parent: v.sink, base: base}
 		if v.sink.tc != nil {
 			p.sinks[i].tc = v.sink.tc.Fork()
 		}
@@ -480,23 +505,45 @@ func (v View) RunParallel(subs []View, body func(idx int, sub View)) {
 	if v.sink.tc != nil {
 		v.sink.tc.Merge(sinks[maxIdx].tc)
 	}
-	if p.caught != nil {
-		panic(p.caught)
+	caught := p.caught
+	v.m.putRun(p)
+	if caught != nil {
+		panic(caught)
 	}
 }
 
 // parRun is the state one RunParallel call shares with the goroutines that
-// run its spawned bodies.
+// run its spawned bodies. The mesh keeps finished ones for later calls
+// (takeRun, putRun): every goroutine that holds one calls wg.Done as its
+// last use of it, so once Wait returns the call alone holds it. A nested
+// call, or a concurrent one from another body, takes its own.
 type parRun struct {
 	m     *Mesh
 	subs  []View
 	body  func(idx int, sub View)
 	sinks []sink       // sinks[i] is sub-view i's clock, owned by whoever runs body i
+	grid  []View       // RunGrid's sub-views
 	next  atomic.Int64 // bodies claimed so far, by the caller or a spawned goroutine
 	wg    sync.WaitGroup
 
 	mu     sync.Mutex
 	caught *PanicError // the first body panic
+}
+
+// takeRun returns a kept parRun, or a new one.
+func (m *Mesh) takeRun() *parRun {
+	if p, ok := m.runs.Get(); ok {
+		return p
+	}
+	return &parRun{m: m}
+}
+
+// putRun keeps p for a later call, dropping what it references of the
+// finished one.
+func (m *Mesh) putRun(p *parRun) {
+	p.subs, p.body, p.caught = nil, nil, nil
+	p.next.Store(0)
+	m.runs.Put(p)
 }
 
 // parTask is one body RunParallel hands to a spawned goroutine.

@@ -93,12 +93,19 @@ func (h *Hierarchy) Successor() core.Successor {
 func (h *Hierarchy) NewQueries(points []geom.Point2) []core.Query {
 	qs := make([]core.Query, len(points))
 	for i, p := range points {
-		qs[i].Cur = h.Dag.Root()
-		qs[i].State[StateX] = p.X
-		qs[i].State[StateY] = p.Y
-		qs[i].State[StateAnswer] = -1
+		qs[i] = h.Query(p)
 	}
 	return qs
+}
+
+// Query builds one point-location query for p, starting at the DAG root.
+func (h *Hierarchy) Query(p geom.Point2) core.Query {
+	var q core.Query
+	q.Cur = h.Dag.Root()
+	q.State[StateX] = p.X
+	q.State[StateY] = p.Y
+	q.State[StateAnswer] = -1
+	return q
 }
 
 // Answer extracts the located triangle index from a finished query.

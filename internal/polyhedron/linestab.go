@@ -166,12 +166,20 @@ func StabSuccessor(v *graph.Vertex, q *core.Query) (int, bool) {
 func (ls *LineStab) NewStabQueries(points []geom.Point2) []core.Query {
 	qs := make([]core.Query, len(points))
 	for i, p := range points {
-		qs[i].Cur = ls.Root
-		qs[i].State[StabStateX] = p.X
-		qs[i].State[StabStateY] = p.Y
-		qs[i].State[StabStateSector] = -1
+		qs[i] = ls.StabQuery(p)
 	}
 	return qs
+}
+
+// StabQuery builds one line-stabbing query for the vertical line through
+// p, starting at the root.
+func (ls *LineStab) StabQuery(p geom.Point2) core.Query {
+	var q core.Query
+	q.Cur = ls.Root
+	q.State[StabStateX] = p.X
+	q.State[StabStateY] = p.Y
+	q.State[StabStateSector] = -1
+	return q
 }
 
 // Stabbed reports whether a finished query's line intersects the polyhedron.

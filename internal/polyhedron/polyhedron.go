@@ -298,13 +298,21 @@ func lexGreater(a, b geom.Point3) bool {
 func (h *Hierarchy) NewQueries(dirs []geom.Point3) []core.Query {
 	qs := make([]core.Query, len(dirs))
 	for i, d := range dirs {
-		qs[i].Cur = h.Dag.Root()
-		qs[i].State[StateDX] = d.X
-		qs[i].State[StateDY] = d.Y
-		qs[i].State[StateDZ] = d.Z
-		qs[i].State[StateAnswer] = -1
+		qs[i] = h.Query(d)
 	}
 	return qs
+}
+
+// Query builds one tangent-plane query for direction d, starting at the
+// DAG root.
+func (h *Hierarchy) Query(d geom.Point3) core.Query {
+	var q core.Query
+	q.Cur = h.Dag.Root()
+	q.State[StateDX] = d.X
+	q.State[StateDY] = d.Y
+	q.State[StateDZ] = d.Z
+	q.State[StateAnswer] = -1
+	return q
 }
 
 // Answer extracts the extreme vertex index from a finished query.

@@ -125,8 +125,12 @@ type Structure interface {
 	// PerRequest is how many mesh queries one request expands to
 	// (interval counting issues two rank descents per request).
 	PerRequest() int
-	// MakeQueries expands a batch of requests into start-configured queries.
+	// MakeQueries expands a batch of requests into start-configured
+	// queries, in a fresh slice.
 	MakeQueries(args []Args) []core.Query
+	// AppendQueries is MakeQueries appending to dst: the executor reuses
+	// one slice per kind.
+	AppendQueries(dst []core.Query, args []Args) []core.Query
 	// Extract collapses request i's PerRequest finished queries into its
 	// answer.
 	Extract(qs []core.Query, i int) Answer
@@ -263,11 +267,14 @@ func (s *membershipStructure) PerRequest() int           { return 1 }
 func (s *membershipStructure) ArgsFor(needle int64) Args { return Args{needle} }
 
 func (s *membershipStructure) MakeQueries(args []Args) []core.Query {
-	needles := make([]int64, len(args))
-	for i, a := range args {
-		needles[i] = a[0]
+	return s.AppendQueries(make([]core.Query, 0, len(args)), args)
+}
+
+func (s *membershipStructure) AppendQueries(dst []core.Query, args []Args) []core.Query {
+	for _, a := range args {
+		dst = append(dst, s.bt.Query(a[0]))
 	}
-	return s.bt.NewQueries(needles)
+	return dst
 }
 
 func (s *membershipStructure) Extract(qs []core.Query, i int) Answer {
@@ -276,7 +283,7 @@ func (s *membershipStructure) Extract(qs []core.Query, i int) Answer {
 }
 
 func (s *membershipStructure) Search(v mesh.View, in *core.Instance) {
-	core.MultisearchAlpha(v, in, s.maxPart, 0)
+	core.SearchAlpha(v, in, s.maxPart, 0)
 }
 
 func (s *membershipStructure) Canary() []Args {
@@ -361,11 +368,14 @@ func (s *pointlocStructure) ArgsFor(needle int64) Args {
 }
 
 func (s *pointlocStructure) MakeQueries(args []Args) []core.Query {
-	points := make([]geom.Point2, len(args))
-	for i, a := range args {
-		points[i] = geom.Point2{X: a[0], Y: a[1]}
+	return s.AppendQueries(make([]core.Query, 0, len(args)), args)
+}
+
+func (s *pointlocStructure) AppendQueries(dst []core.Query, args []Args) []core.Query {
+	for _, a := range args {
+		dst = append(dst, s.h.Query(geom.Point2{X: a[0], Y: a[1]}))
 	}
-	return s.h.NewQueries(points)
+	return dst
 }
 
 func (s *pointlocStructure) Extract(qs []core.Query, i int) Answer {
@@ -431,11 +441,14 @@ func (s *intervalStructure) ArgsFor(needle int64) Args {
 }
 
 func (s *intervalStructure) MakeQueries(args []Args) []core.Query {
-	ranges := make([][2]int64, len(args))
-	for i, a := range args {
-		ranges[i] = [2]int64{a[0], a[1]}
+	return s.AppendQueries(make([]core.Query, 0, 2*len(args)), args)
+}
+
+func (s *intervalStructure) AppendQueries(dst []core.Query, args []Args) []core.Query {
+	for _, a := range args {
+		dst = s.ct.AppendQueries(dst, a[0], a[1])
 	}
-	return s.ct.NewQueries(ranges)
+	return dst
 }
 
 func (s *intervalStructure) Extract(qs []core.Query, i int) Answer {
@@ -444,7 +457,7 @@ func (s *intervalStructure) Extract(qs []core.Query, i int) Answer {
 }
 
 func (s *intervalStructure) Search(v mesh.View, in *core.Instance) {
-	core.MultisearchAlpha(v, in, s.maxPart, 0)
+	core.SearchAlpha(v, in, s.maxPart, 0)
 }
 
 func (s *intervalStructure) Canary() []Args {
@@ -520,11 +533,14 @@ func (s *linepolyStructure) ArgsFor(needle int64) Args {
 }
 
 func (s *linepolyStructure) MakeQueries(args []Args) []core.Query {
-	points := make([]geom.Point2, len(args))
-	for i, a := range args {
-		points[i] = geom.Point2{X: a[0], Y: a[1]}
+	return s.AppendQueries(make([]core.Query, 0, len(args)), args)
+}
+
+func (s *linepolyStructure) AppendQueries(dst []core.Query, args []Args) []core.Query {
+	for _, a := range args {
+		dst = append(dst, s.ls.StabQuery(geom.Point2{X: a[0], Y: a[1]}))
 	}
-	return s.ls.NewStabQueries(points)
+	return dst
 }
 
 func (s *linepolyStructure) Extract(qs []core.Query, i int) Answer {
@@ -533,7 +549,7 @@ func (s *linepolyStructure) Extract(qs []core.Query, i int) Answer {
 }
 
 func (s *linepolyStructure) Search(v mesh.View, in *core.Instance) {
-	core.MultisearchAlpha(v, in, s.maxPart, 0)
+	core.SearchAlpha(v, in, s.maxPart, 0)
 }
 
 func (s *linepolyStructure) Canary() []Args {
@@ -577,11 +593,14 @@ func (s *tangentStructure) ArgsFor(needle int64) Args {
 }
 
 func (s *tangentStructure) MakeQueries(args []Args) []core.Query {
-	dirs := make([]geom.Point3, len(args))
-	for i, a := range args {
-		dirs[i] = geom.Point3{X: a[0], Y: a[1], Z: a[2]}
+	return s.AppendQueries(make([]core.Query, 0, len(args)), args)
+}
+
+func (s *tangentStructure) AppendQueries(dst []core.Query, args []Args) []core.Query {
+	for _, a := range args {
+		dst = append(dst, s.h.Query(geom.Point3{X: a[0], Y: a[1], Z: a[2]}))
 	}
-	return s.h.NewQueries(dirs)
+	return dst
 }
 
 func (s *tangentStructure) Extract(qs []core.Query, i int) Answer {

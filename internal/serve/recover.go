@@ -46,11 +46,11 @@ func (s *Instance) serveBatch(kr *kindRuntime, batch []request) {
 		return
 	}
 
-	args := make([]Args, len(batch))
-	for i, r := range batch {
-		args[i] = r.args
+	kr.args = kr.args[:0]
+	for _, r := range batch {
+		kr.args = append(kr.args, r.args)
 	}
-	queries := kr.st.MakeQueries(args)
+	kr.queries = kr.st.AppendQueries(kr.queries[:0], kr.args)
 	var lastErr error
 	for attempt := 0; attempt <= s.maxRetries; attempt++ {
 		if attempt > 0 {
@@ -80,7 +80,7 @@ func (s *Instance) serveBatch(kr *kindRuntime, batch []request) {
 		if attempt > 0 {
 			tag = fmt.Sprintf("retry %d audited", attempt)
 		}
-		results, h, err := s.meshRound(kr, fmt.Sprintf("serve %s round %d attempt %d", kr.kind, round, attempt), tag, queries)
+		results, h, err := s.meshRound(kr, roundName{kr.kind, round, attempt}, tag, kr.queries)
 		// Each attempt — failed ones included — closes its own mesh-round
 		// span, so a recovered batch's trace shows mesh/backoff/mesh/...
 		s.markBatch(batch, obs.StageMesh)
@@ -159,16 +159,37 @@ func (s *Instance) failBatch(batch []request, err error) {
 	}
 }
 
+// roundName names one mesh attempt: its traced span ("… q=N") and the
+// label of the *core.RunError it fails with. It is formatted only when a
+// tracer is installed or the attempt fails, so an untraced round that
+// succeeds formats nothing.
+type roundName struct {
+	kind    Kind
+	round   int64 // serving round, or canary round
+	attempt int   // retry-ladder attempt; canaryAttempt for a canary round
+}
+
+// canaryAttempt marks a canary round's roundName.
+const canaryAttempt = -1
+
+func (n roundName) String() string {
+	if n.attempt == canaryAttempt {
+		return fmt.Sprintf("canary %s %d", n.kind, n.round)
+	}
+	return fmt.Sprintf("serve %s round %d attempt %d", n.kind, n.round, n.attempt)
+}
+
 // meshRound executes one mesh attempt of one kind: install the kind's step
 // budget, reset the step clock (per-attempt budget, fresh traced run —
 // tagged when the attempt is a retry or canary), load the queries against
 // the kind's resident structure, and run its multisearch inside the
-// core.Run containment boundary. The returned trace.Handle names this
+// core.Run containment boundary. The results are the kind's reused slice,
+// valid until its next round. The returned trace.Handle names this
 // attempt's step-clock run (inert when no tracer is installed): tagging goes
 // through it — keyed to the run, not "most recently attached", which was a
 // cross-goroutine race when concurrent instances shared one Tracer — and the
 // observability layer embeds its Seq/Label in the request traces it links.
-func (s *Instance) meshRound(kr *kindRuntime, label, tag string, queries []core.Query) ([]core.Query, trace.Handle, error) {
+func (s *Instance) meshRound(kr *kindRuntime, name roundName, tag string, queries []core.Query) ([]core.Query, trace.Handle, error) {
 	if s.m.Budget() != kr.budget {
 		s.m.SetBudget(kr.budget) // per-kind budget, quiescent between rounds
 	}
@@ -178,9 +199,11 @@ func (s *Instance) meshRound(kr *kindRuntime, label, tag string, queries []core.
 		h.Tag(tag)
 	}
 	t0 := time.Now()
-	err := core.Run(label, func() error {
+	err := core.Run("", func() error {
 		v := s.m.Root()
-		defer trace.Span(v, "%s q=%d", label, len(queries))()
+		if v.Traced() {
+			defer trace.Span(v, "%s q=%d", name, len(queries))()
+		}
 		kr.in.ResetQueries(v, queries)
 		kr.st.Search(v, kr.in)
 		return nil
@@ -189,6 +212,7 @@ func (s *Instance) meshRound(kr *kindRuntime, label, tag string, queries []core.
 	s.simSteps.Add(steps)
 	kr.simSteps.Add(steps)
 	if err != nil {
+		err.(*core.RunError).Label = name.String() // core.Run fails only with a *RunError
 		return nil, h, err
 	}
 	// Completed rounds train the expected-round-time model (§3.11): wall
@@ -196,7 +220,8 @@ func (s *Instance) meshRound(kr *kindRuntime, label, tag string, queries []core.
 	// slowly but correctly, so its growing ns/step ratio is exactly the gray
 	// failure signal the budget checks and the fleet's ejection score read.
 	s.observeStepRatio(kr, steps, time.Since(t0))
-	return kr.in.ResultQueries(), h, nil
+	kr.results = kr.in.AppendResultQueries(kr.results[:0])
+	return kr.results, h, nil
 }
 
 // markBatch closes one stage span on every traced request of the batch with
@@ -316,7 +341,7 @@ func (s *Instance) canaryKinds() error {
 		if len(probes) > s.m.N() {
 			probes = probes[:s.m.N()]
 		}
-		results, _, err := s.meshRound(kr, fmt.Sprintf("canary %s %d", kind, s.canaryRounds.Load()), "canary", kr.st.MakeQueries(probes))
+		results, _, err := s.meshRound(kr, roundName{kind, s.canaryRounds.Load(), canaryAttempt}, "canary", kr.st.MakeQueries(probes))
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/mesh"
+	"repro/internal/trace"
 )
 
 // gateInjector injects a lying comparator into every sort while broken —
@@ -332,5 +334,38 @@ func TestCanaryAfterShutdownIsClosed(t *testing.T) {
 	}
 	if _, err := s.Lookup(ctx, 3); !errors.Is(err, ErrClosed) {
 		t.Fatalf("lookup after shutdown: %v, want ErrClosed", err)
+	}
+}
+
+// TestRoundNames: a round's name is formatted only when a tracer is
+// installed or the round fails, and it reads as it always has — in the
+// traced run's top span, in a failed round's *core.RunError, and in a
+// failed canary's.
+func TestRoundNames(t *testing.T) {
+	tr := trace.New()
+	s := newTestServer(t, Config{Side: 8, Tracer: tr})
+	if _, err := s.Lookup(context.Background(), 3); err != nil {
+		t.Fatal(err)
+	}
+	runs := tr.Runs()
+	if len(runs) == 0 || len(runs[len(runs)-1].Spans) == 0 {
+		t.Fatal("the traced round recorded no span")
+	}
+	if got, want := runs[len(runs)-1].Spans[0].Name, "serve membership round 1 attempt 0 q=1"; got != want {
+		t.Fatalf("traced round span %q, want %q", got, want)
+	}
+
+	s = newTestServer(t, Config{Side: 8, Budget: 3, DisableDegrade: true, MaxRetries: -1})
+	_, err := s.Lookup(context.Background(), 3)
+	var re *core.RunError
+	if !errors.As(err, &re) {
+		t.Fatalf("a 3-step budget round returned %v, want a *core.RunError", err)
+	}
+	if want := "serve membership round 1 attempt 0"; re.Label != want || !strings.HasPrefix(err.Error(), `run "`+want+`" failed: `) {
+		t.Fatalf("failed round's error %q (label %q), want label %q", err, re.Label, want)
+	}
+	err = s.Canary(context.Background())
+	if !errors.As(err, &re) || re.Label != "canary membership 1" {
+		t.Fatalf("failed canary's error %v, want a *core.RunError labelled %q", err, "canary membership 1")
 	}
 }

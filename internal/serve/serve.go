@@ -41,6 +41,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dict"
+	"repro/internal/freelist"
 	"repro/internal/mesh"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -282,6 +283,11 @@ type kindRuntime struct {
 	// in the one-slot pipeline channel, one in its round), so three spares
 	// keep every slice it ever made once it falls idle.
 	spare chan []request
+	// args, queries and results are the executor's per-round slices: the
+	// batch's arguments, its start-configured queries and its finished
+	// ones. Only the executor goroutine touches them.
+	args             []Args
+	queries, results []core.Query
 
 	rounds, served, degraded, simSteps atomic.Int64
 	lat                                obs.Histogram
@@ -340,6 +346,10 @@ type Instance struct {
 	brk         *breaker
 	canaries    chan chan error
 	circuitOpen atomic.Bool
+
+	// slots keeps the response channels of answered lookups for reuse
+	// (takeSlot). An abandoned lookup never puts its slot back.
+	slots freelist.List[chan response]
 
 	retries, recovered           atomic.Int64
 	degraded, degradedRounds     atomic.Int64
@@ -641,33 +651,20 @@ func (s *Instance) Lookup(ctx context.Context, needle int64) (Result, error) {
 // completes, ctx is done, or the server refuses it (ErrOverloaded when the
 // kind's admission queue is full, ErrClosed after Shutdown,
 // ErrKindNotServed for a kind this instance does not serve).
+//
+// In steady state with observability off a lookup allocates nothing: its
+// response slot comes from the instance's kept slots, and the rare paths
+// (shed, refusal, tracing) run out of line, so the frame stays small enough
+// for a fresh goroutine's stack.
 func (s *Instance) LookupKind(ctx context.Context, kind Kind, args Args) (Result, error) {
 	start := time.Now()
 	if kind >= NumKinds || s.kr[kind] == nil {
 		return Result{}, ErrKindNotServed
 	}
 	kr := s.kr[kind]
-	// Deadline-budget admission rung (DESIGN.md §3.11): a lookup whose
-	// remaining budget cannot cover one linger window plus one expected
-	// round is doomed — shed it now instead of letting it queue, linger,
-	// and expire mid-round. No deadline, or no observed rounds yet, skips
-	// the check.
-	var deadline time.Time
-	if dl, ok := ctx.Deadline(); ok {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		deadline = dl
-		if need := s.ExpectedRoundTime(kind); need > 0 && time.Until(dl) < need {
-			s.budgetShed.Add(1)
-			if s.obs != nil {
-				if tr := obs.FromContext(ctx); tr == nil {
-					tr = s.obs.BeginClass(int(kind), obs.ParentFromContext(ctx), args[0], start)
-					s.obs.Finish(tr, obs.OutcomeError, ErrBudgetExhausted)
-				}
-			}
-			return Result{}, ErrBudgetExhausted
-		}
+	deadline, err := s.admitDeadline(ctx, kind, args, start)
+	if err != nil {
+		return Result{}, err
 	}
 	// Observability (nil s.obs skips everything, even the ctx lookups): the
 	// trace either arrives on ctx — the fleet began it and will finish it —
@@ -676,19 +673,14 @@ func (s *Instance) LookupKind(ctx context.Context, kind Kind, args Args) (Result
 	var tr *obs.ReqTrace
 	created := false
 	if s.obs != nil {
-		if tr = obs.FromContext(ctx); tr == nil {
-			tr = s.obs.BeginClass(int(kind), obs.ParentFromContext(ctx), args[0], start)
-			created = true
-		}
+		tr, created = s.beginTrace(ctx, kind, args, start)
 	}
-	req := request{args: args, resp: make(chan response, 1), deadline: deadline, tr: tr}
+	resp := s.takeSlot()
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		if created {
-			s.obs.Finish(tr, obs.OutcomeClosed, ErrClosed)
-		}
-		return Result{}, ErrClosed
+		s.slots.Put(resp)
+		return Result{}, s.refuse(tr, created, obs.OutcomeClosed, ErrClosed)
 	}
 	// The admit mark must land before the queue send: once the request is
 	// enqueued the collector owns the trace, and a mark from this goroutine
@@ -699,45 +691,115 @@ func (s *Instance) LookupKind(ctx context.Context, kind Kind, args Args) (Result
 	// Non-blocking admission under the read lock: Shutdown takes the write
 	// lock before closing the queue, so this send cannot race the close.
 	select {
-	case kr.queue <- req:
+	case kr.queue <- request{args: args, resp: resp, deadline: deadline, tr: tr}:
 		s.mu.RUnlock()
 		s.accepted.Add(1)
 	default:
 		s.mu.RUnlock()
+		s.slots.Put(resp)
 		s.rejected.Add(1)
-		if created {
-			s.obs.Finish(tr, obs.OutcomeRejected, ErrOverloaded)
-		}
-		return Result{}, ErrOverloaded
+		return Result{}, s.refuse(tr, created, obs.OutcomeRejected, ErrOverloaded)
 	}
 	select {
-	case r := <-req.resp:
-		// Latency is admission → response, mesh-served and degraded alike;
-		// rejected and abandoned lookups never reach a round, so they do
-		// not pollute the serving histogram.
-		e2e := time.Since(start)
-		s.lat.Observe(e2e)
-		kr.lat.Observe(e2e)
-		if r.err == nil {
-			if r.res.Degraded {
-				s.latDegraded.Observe(e2e)
-			} else {
-				s.latMesh.Observe(e2e)
-			}
-		}
-		if created {
-			s.obs.Finish(tr, lookupOutcome(r), r.err)
-		}
+	case r := <-resp:
+		// The round sent its one response: the slot is empty again.
+		s.slots.Put(resp)
+		s.answered(kr, tr, created, &r, start)
 		return r.res, r.err
 	case <-ctx.Done():
-		// The round still answers into the buffered resp channel; the
-		// abandoned reply is garbage-collected with it. The trace stays with
-		// the request — the executor may still be marking stages into it —
-		// so it is counted abandoned, never finished or retained.
+		// The round still answers into the abandoned slot, which is never
+		// put back — no later lookup can receive this response — and is
+		// garbage-collected with it. The trace stays with the request — the
+		// executor may still be marking stages into it — so it is counted
+		// abandoned, never finished or retained.
 		if created {
 			s.obs.Abandon(tr)
 		}
 		return Result{}, ctx.Err()
+	}
+}
+
+// takeSlot returns an empty response slot: a kept one, or a new one. A slot
+// holds one response, so a round's send never blocks the executor.
+func (s *Instance) takeSlot() chan response {
+	if c, ok := s.slots.Get(); ok {
+		return c
+	}
+	return make(chan response, 1)
+}
+
+// admitDeadline is the deadline-budget admission rung (DESIGN.md §3.11).
+// It returns ctx's deadline, zero when ctx has none. A lookup whose
+// remaining budget cannot cover one linger window plus one expected round
+// is doomed: it is shed now with ErrBudgetExhausted instead of queueing,
+// lingering, and expiring mid-round. No deadline, or no observed rounds
+// yet, skips the check.
+//
+//go:noinline
+func (s *Instance) admitDeadline(ctx context.Context, kind Kind, args Args, start time.Time) (time.Time, error) {
+	dl, ok := ctx.Deadline()
+	if !ok {
+		return time.Time{}, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return time.Time{}, err
+	}
+	if need := s.ExpectedRoundTime(kind); need <= 0 || time.Until(dl) >= need {
+		return dl, nil
+	}
+	s.budgetShed.Add(1)
+	if s.obs != nil {
+		// A shed lookup without a trace still leaves a finished error one.
+		if tr := obs.FromContext(ctx); tr == nil {
+			tr = s.obs.BeginClass(int(kind), obs.ParentFromContext(ctx), args[0], start)
+			s.obs.Finish(tr, obs.OutcomeError, ErrBudgetExhausted)
+		}
+	}
+	return time.Time{}, ErrBudgetExhausted
+}
+
+// beginTrace adopts the request trace ctx carries, or begins one that the
+// lookup then finishes (created).
+//
+//go:noinline
+func (s *Instance) beginTrace(ctx context.Context, kind Kind, args Args, start time.Time) (tr *obs.ReqTrace, created bool) {
+	if tr = obs.FromContext(ctx); tr == nil {
+		tr = s.obs.BeginClass(int(kind), obs.ParentFromContext(ctx), args[0], start)
+		created = true
+	}
+	return tr, created
+}
+
+// refuse finishes the trace of a lookup refused before admission, if the
+// lookup began it, and returns err.
+//
+//go:noinline
+func (s *Instance) refuse(tr *obs.ReqTrace, created bool, oc obs.Outcome, err error) error {
+	if created {
+		s.obs.Finish(tr, oc, err)
+	}
+	return err
+}
+
+// answered records a delivered response: the latency histograms and, if
+// the lookup began its trace, the finished trace. Latency is admission →
+// response, mesh-served and degraded alike; rejected and abandoned lookups
+// never reach a round, so they do not pollute the serving histogram.
+//
+//go:noinline
+func (s *Instance) answered(kr *kindRuntime, tr *obs.ReqTrace, created bool, r *response, start time.Time) {
+	e2e := time.Since(start)
+	s.lat.Observe(e2e)
+	kr.lat.Observe(e2e)
+	if r.err == nil {
+		if r.res.Degraded {
+			s.latDegraded.Observe(e2e)
+		} else {
+			s.latMesh.Observe(e2e)
+		}
+	}
+	if created {
+		s.obs.Finish(tr, lookupOutcome(*r), r.err)
 	}
 }
 
@@ -769,6 +831,10 @@ func (s *Instance) LatencyByOutcome() (mesh, degraded obs.HistSnapshot) {
 // the next batch assemble while the current round simulates; batches of
 // different kinds interleave in arrival order.
 func (s *Instance) collect(kr *kindRuntime) {
+	// One linger timer serves every batch: it is stopped between batches,
+	// and drained when it fired unseen, so a Reset never sees a stale tick.
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	for {
 		first, ok := <-kr.queue
 		if !ok {
@@ -789,7 +855,8 @@ func (s *Instance) collect(kr *kindRuntime) {
 			}
 		}
 		if linger > 0 {
-			timer := time.NewTimer(linger)
+			timer.Reset(linger)
+			fired := false
 		fill:
 			for len(batch) < kr.maxBatch {
 				select {
@@ -802,10 +869,13 @@ func (s *Instance) collect(kr *kindRuntime) {
 					}
 					batch = append(batch, r)
 				case <-timer.C:
+					fired = true
 					break fill
 				}
 			}
-			timer.Stop()
+			if !timer.Stop() && !fired {
+				<-timer.C
+			}
 		} else {
 		greedy:
 			for len(batch) < kr.maxBatch {
