@@ -24,8 +24,11 @@ type ChaosConfig struct {
 // StartChaos begins killing and restarting replicas until stop is called.
 // At most one replica is down at a time and only when at least two are up:
 // the monkey tests failover, not total blackout — a fleet-wide outage is a
-// separate scenario (see TestAllReplicasDownServesFromOracle). stop blocks
-// until in-flight kills finish restarting, so a stopped fleet is whole.
+// separate scenario (see TestAllReplicasDownFallsBackToOracle). The victim
+// is a replica holding admitted, unanswered lookups, so each kill forces a
+// failover; when none holds any for one more KillEvery, any up replica is
+// killed. stop blocks until in-flight kills finish restarting, so a stopped
+// fleet is whole.
 func (f *Fleet) StartChaos(cfg ChaosConfig) (stop func()) {
 	if cfg.KillEvery <= 0 {
 		cfg.KillEvery = 500 * time.Millisecond
@@ -46,17 +49,10 @@ func (f *Fleet) StartChaos(cfg ChaosConfig) (stop func()) {
 				return
 			case <-time.After(wait):
 			}
-			// Kill a random up replica, but never the last one.
-			var up []int
-			for _, v := range f.views() {
-				if v.Up {
-					up = append(up, v.Index)
-				}
-			}
-			if len(up) < 2 {
+			victim := f.chaosVictim(rng, cfg.KillEvery, done)
+			if victim < 0 {
 				continue
 			}
-			victim := up[rng.Intn(len(up))]
 			if err := f.CrashReplica(victim); err != nil {
 				continue
 			}
@@ -72,5 +68,41 @@ func (f *Fleet) StartChaos(cfg ChaosConfig) (stop func()) {
 	return func() {
 		close(done)
 		wg.Wait()
+	}
+}
+
+// chaosPoll is how often chaosVictim looks for a replica with lookups in
+// flight.
+const chaosPoll = time.Millisecond
+
+// chaosVictim picks a random up replica holding admitted, unanswered
+// lookups, polling for one for up to patience before settling for any up
+// replica. It returns -1 when fewer than two replicas are up — the last one
+// is never killed — or when done closes.
+func (f *Fleet) chaosVictim(rng *rand.Rand, patience time.Duration, done <-chan struct{}) int {
+	giveUp := time.Now().Add(patience)
+	for {
+		var up, busy []int
+		for i := range f.reps {
+			if inst := f.instance(i); inst != nil {
+				up = append(up, i)
+				if inst.InFlight() > 0 {
+					busy = append(busy, i)
+				}
+			}
+		}
+		switch {
+		case len(up) < 2:
+			return -1
+		case len(busy) > 0:
+			return busy[rng.Intn(len(busy))]
+		case !time.Now().Before(giveUp):
+			return up[rng.Intn(len(up))]
+		}
+		select {
+		case <-done:
+			return -1
+		case <-time.After(chaosPoll):
+		}
 	}
 }

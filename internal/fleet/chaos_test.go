@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
+	"repro/internal/mesh"
 	"repro/internal/serve"
 )
 
@@ -111,5 +113,57 @@ func TestChaosNeverKillsLastReplica(t *testing.T) {
 	stop()
 	if got := f.Stats().Crashes; got != 1 {
 		t.Fatalf("monkey killed the last replica: %d crashes, want only the manual one", got)
+	}
+}
+
+// TestChaosKillsReplicaWithLookupInFlight pins the monkey's victim rule: a
+// kill lands on a replica holding admitted, unanswered lookups, so it forces
+// a failover. One lookup at a time is held in flight on replica 0 alone — a
+// latency stall keeps its round running until the kill cancels it — and
+// every one of five kills must land there. A uniform pick among the three
+// replicas would pass with probability 3⁻⁵.
+func TestChaosKillsReplicaWithLookupInFlight(t *testing.T) {
+	f := newTestFleet(t, Config{
+		Replicas: 3,
+		Instance: serve.Config{Side: 8, Linger: 100 * time.Microsecond},
+		MakeInjector: func(i int) mesh.Injector {
+			if i != 0 {
+				return nil
+			}
+			// After its first consultation, every one stalls 5ms: a round
+			// outlasts the test, and a kill cancels it within one stall.
+			return faults.NewLatency(faults.LatencyConfig{StallEvery: time.Nanosecond, StallFor: 5 * time.Millisecond}, nil)
+		},
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		for ctx.Err() == nil {
+			if inst := f.instance(0); inst != nil {
+				_, _ = inst.Lookup(ctx, 3) // returns when a kill cancels its round
+			} else {
+				time.Sleep(100 * time.Microsecond) // replica 0 is down
+			}
+		}
+	}()
+	stop := f.StartChaos(ChaosConfig{Seed: 5, KillEvery: 50 * time.Millisecond, Downtime: 2 * time.Millisecond})
+	deadline := time.Now().Add(5 * time.Second)
+	for f.Stats().Crashes < 5 {
+		if time.Now().After(deadline) {
+			t.Fatalf("monkey killed %d replicas in 5s, want 5", f.Stats().Crashes)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stop()
+	st := f.Stats()
+	cancel()
+	<-held
+	// The abandoned lookup's round is still stalled on replica 0; a crash
+	// cancels it, so the test's drain does not wait it out.
+	_ = f.CrashReplica(0)
+	if got := st.PerReplica[0].Crashes; got != st.Crashes {
+		t.Fatalf("%d of %d kills landed on replica 0, the only one with a lookup in flight (replicas 1, 2: %d, %d)",
+			got, st.Crashes, st.PerReplica[1].Crashes, st.PerReplica[2].Crashes)
 	}
 }

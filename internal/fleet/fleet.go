@@ -1,22 +1,20 @@
 // Package fleet runs N serve.Instances — each its own mesh, dictionary,
 // recovery ladder, breaker state and stats — behind a health-aware router
 // (DESIGN.md §3.8). It is the step from "a server" to "a cluster": replicas
-// multiply read throughput past one mesh's knee, and they change the robust
-// answer to a mesh fault from *degrade* to *failover*.
+// multiply read throughput past one mesh's knee, and they make the robust
+// answer to a mesh fault *failover*, before any answer degrades.
 //
-// The recovery ladder gains a rung above the instance-local one of §3.6:
+// The recovery ladder (§3.6) spans both layers:
 //
 //	retry-local  — the instance re-executes a faulted round with auditing
-//	               forced on (unchanged from PR 5);
+//	               forced on, and surfaces the typed fault when its retries
+//	               run out or its breaker is open;
 //	failover     — a lookup whose instance faulted, tripped its breaker, or
 //	               crashed outright is re-dispatched to a healthy replica;
 //	oracle       — only when no replica can answer does the fleet fall back
 //	               to its host-side dictionary oracle (Degraded answers).
 //
-// Instances inside a fleet therefore run with serve.Config.DisableOracle:
-// they keep their retry ladder and breaker, but surface typed faults
-// instead of answering from the oracle themselves — the fleet owns that
-// last rung. The fleet also owns replica health: one prober per fleet
+// The fleet alone answers from the oracle. It also owns replica health: one prober per fleet
 // canaries circuit-open replicas and latency-probes ejected ones until they
 // can be trusted again (probe.go). Routing is pluggable (round-robin,
 // least-loaded by admission-queue depth, health-weighted by breaker state);
@@ -70,9 +68,8 @@ type Config struct {
 	// Replicas is the instance count (default 1; at most 64 — the dispatch
 	// loop tracks tried replicas in a word).
 	Replicas int
-	// Instance is the per-instance serve.Config template. DisableOracle is
-	// forced on (the fleet owns the oracle rung); Tracer and Injector are
-	// per-instance concerns — see MakeTracer / MakeInjector.
+	// Instance is the per-instance serve.Config template. Tracer and
+	// Injector are per-instance concerns — see MakeTracer / MakeInjector.
 	Instance serve.Config
 	// Policy picks the replica for each lookup (default round-robin).
 	Policy Policy
@@ -247,9 +244,6 @@ func New(cfg Config) (*Fleet, error) {
 // instanceConfig specializes the template for replica i.
 func (f *Fleet) instanceConfig(i int) serve.Config {
 	cfg := f.cfg.Instance
-	// The oracle rung belongs to the fleet: instances surface typed faults
-	// so a lookup can fail over before any answer degrades.
-	cfg.DisableOracle = true
 	if f.cfg.MakeInjector != nil {
 		cfg.Injector = f.cfg.MakeInjector(i)
 	}
@@ -519,8 +513,6 @@ func (f *Fleet) answered(d *dispatch, res *Result, failedOver, hedgeWon bool) {
 		oc := obs.OutcomeMesh
 		if failedOver || hedgeWon {
 			oc = obs.OutcomeFailover
-		} else if res.Degraded {
-			oc = obs.OutcomeDegraded
 		}
 		f.obs.Finish(d.tr, oc, nil)
 	}
@@ -805,8 +797,6 @@ func sumStats(dst *serve.Stats, src serve.Stats) {
 	dst.Retries += src.Retries
 	dst.Recovered += src.Recovered
 	dst.BudgetShed += src.BudgetShed
-	dst.Degraded += src.Degraded
-	dst.DegradedRounds += src.DegradedRounds
 	dst.CircuitOpens += src.CircuitOpens
 	dst.CircuitCloses += src.CircuitCloses
 	dst.CanaryRounds += src.CanaryRounds
@@ -834,9 +824,9 @@ type ReplicaStats struct {
 }
 
 // Stats is a point-in-time snapshot of the fleet. Agg sums every
-// incarnation of every replica (crashed instances included); its Degraded
-// count covers instance-level oracle answers only — fleet-oracle answers
-// are OracleServed, and both flag Result.Degraded to clients.
+// incarnation of every replica (crashed instances included), and every
+// answer it counts is mesh-served; fleet-oracle answers are OracleServed,
+// flagged Result.Degraded to clients.
 type Stats struct {
 	Replicas         int    `json:"replicas"`
 	HealthyReplicas  int    `json:"healthy_replicas"`

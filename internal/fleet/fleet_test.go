@@ -120,7 +120,7 @@ func TestSingleReplicaFleetServesCorrectly(t *testing.T) {
 	if st.Dispatched != n || st.FailoverServed != 0 || st.OracleServed != 0 || st.Unrouted != 0 {
 		t.Fatalf("1-replica fleet counters: %+v", st)
 	}
-	if st.Agg.Served != n || st.Agg.Degraded != 0 {
+	if st.Agg.Served != n {
 		t.Fatalf("aggregate serving counters: %+v", st.Agg)
 	}
 }
@@ -162,7 +162,7 @@ func TestFailoverServesFromHealthyReplica(t *testing.T) {
 	if st.FailoverServed != n {
 		t.Fatalf("%d of %d lookups failover-served: %+v", st.FailoverServed, n, st)
 	}
-	if st.OracleServed != 0 || st.Agg.Degraded != 0 {
+	if st.OracleServed != 0 {
 		t.Fatalf("oracle answered despite a healthy replica: %+v", st)
 	}
 }
@@ -264,6 +264,40 @@ func TestAllReplicasDownFallsBackToOracle(t *testing.T) {
 			t.Fatalf("lookup error %v, want ErrNoReplica", err)
 		}
 	})
+}
+
+// TestBudgetOverrunDegradesToOracle is the graceful-degradation contract: a
+// deterministic fault (a per-round budget too small for any round) is never
+// user-visible. The replica surfaces the typed fault and opens its circuit,
+// the next lookup fails fast on the open circuit, and the fleet answers both
+// from its host oracle, flagged degraded, with the leaf and search-path
+// length a faithful round would report.
+func TestBudgetOverrunDegradesToOracle(t *testing.T) {
+	f := newTestFleet(t, Config{Replicas: 1, Instance: serve.Config{Side: 8, Budget: 3}})
+	for _, needle := range []int64{3, 4} {
+		res, err := f.Lookup(context.Background(), needle)
+		if err != nil {
+			t.Fatalf("lookup %d under recovery returned error %v; want degraded answer", needle, err)
+		}
+		if !res.Degraded || res.Replica != -1 {
+			t.Fatalf("lookup %d not a degraded fleet-oracle answer: %+v", needle, res)
+		}
+		checkAnswer(t, f, needle, res)
+		leaf, _, path := f.Tree().HostLookup(needle)
+		if res.LeafKey != leaf || res.Steps != path {
+			t.Fatalf("degraded answer provenance wrong: %+v (want leaf %d, path %d)", res, leaf, path)
+		}
+		if needle == 3 && !f.instance(0).CircuitOpen() {
+			t.Fatal("terminal round failure left the circuit closed")
+		}
+	}
+	st := f.Stats()
+	if st.OracleServed != 2 || st.Agg.Served != 0 {
+		t.Fatalf("oracle accounting wrong: %+v", st)
+	}
+	if st.Agg.FaultsBudget == 0 || st.Agg.CircuitOpens != 1 {
+		t.Fatalf("breaker accounting wrong: %+v", st.Agg)
+	}
 }
 
 // TestCrashRestartLifecycle exercises the chaos primitives directly: crash

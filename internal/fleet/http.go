@@ -403,21 +403,19 @@ func (f *Fleet) promMetrics(w http.ResponseWriter) {
 	pw.Histogram("meshfleet_request_duration_seconds", "Dispatch-to-answer latency.", f.latOracle.Snapshot(), "rung", "oracle")
 
 	// Replica-level serving latency, merged bucket-exact across live
-	// replicas (fixed boundaries sum losslessly), split by outcome.
-	var mAll, mMesh, mDeg obs.HistSnapshot
+	// replicas (fixed boundaries sum losslessly): every delivered response,
+	// and the mesh-answered subset.
+	var mAll, mMesh obs.HistSnapshot
 	for i := range f.reps {
 		inst := f.instance(i)
 		if inst == nil {
 			continue
 		}
 		mAll = mAll.Merge(inst.LatencySnapshot())
-		im, id := inst.LatencyByOutcome()
-		mMesh = mMesh.Merge(im)
-		mDeg = mDeg.Merge(id)
+		mMesh = mMesh.Merge(inst.LatencyMeshSnapshot())
 	}
 	pw.Histogram("meshserve_request_duration_seconds", "Per-replica serving latency, merged across live replicas.", mAll, "outcome", "all")
 	pw.Histogram("meshserve_request_duration_seconds", "Per-replica serving latency, merged across live replicas.", mMesh, "outcome", "mesh")
-	pw.Histogram("meshserve_request_duration_seconds", "Per-replica serving latency, merged across live replicas.", mDeg, "outcome", "degraded")
 
 	if f.obs != nil {
 		pw.WriteObserver("meshfleet", f.obs)
@@ -433,11 +431,9 @@ func (f *Fleet) promMetrics(w http.ResponseWriter) {
 func promServeCounters(pw *obs.PromWriter, st serve.Stats) {
 	pw.Counter("meshserve_lookups_total", "Lookups by admission outcome.", float64(st.Accepted), "result", "accepted")
 	pw.Counter("meshserve_lookups_total", "Lookups by admission outcome.", float64(st.Rejected), "result", "rejected")
-	pw.Counter("meshserve_answers_total", "Answered lookups by serving path.", float64(st.Served-st.Degraded), "path", "mesh")
-	pw.Counter("meshserve_answers_total", "Answered lookups by serving path.", float64(st.Degraded), "path", "oracle")
+	pw.Counter("meshserve_answers_total", "Answered lookups by serving path.", float64(st.Served), "path", "mesh")
 	pw.Counter("meshserve_answers_total", "Answered lookups by serving path.", float64(st.Failed), "path", "error")
-	pw.Counter("meshserve_rounds_total", "Serving rounds by kind.", float64(st.Rounds-st.DegradedRounds), "kind", "mesh")
-	pw.Counter("meshserve_rounds_total", "Serving rounds by kind.", float64(st.DegradedRounds), "kind", "degraded")
+	pw.Counter("meshserve_rounds_total", "Serving rounds by kind.", float64(st.Rounds), "kind", "mesh")
 	pw.Counter("meshserve_rounds_total", "Serving rounds by kind.", float64(st.CanaryRounds), "kind", "canary")
 	pw.Counter("meshserve_sim_steps_total", "Simulated mesh steps across all rounds.", float64(st.SimSteps))
 	pw.Counter("meshserve_retries_total", "Audited re-executions of failed rounds.", float64(st.Retries))

@@ -3,10 +3,13 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/mesh"
 	"repro/internal/serve"
 )
@@ -109,10 +112,9 @@ func TestFleetOracleServesTypedKinds(t *testing.T) {
 		Instance: serve.Config{
 			Side: 8, Linger: 100 * time.Microsecond, Kinds: kinds,
 			Audit: true, MaxRetries: -1, BreakerWindow: 1,
-			// Every replica's breaker must open on its own mesh, so each
-			// needs its own always-lying injector.
-			DisableDegrade: true,
 		},
+		// Every replica's breaker must open on its own mesh, so each needs
+		// its own always-lying injector.
 		MakeInjector: func(int) mesh.Injector { return brokenInjector{} },
 	})
 	st := f.Structures().Get(serve.KindInterval)
@@ -133,5 +135,63 @@ func TestFleetOracleServesTypedKinds(t *testing.T) {
 	}
 	if f.Stats().OracleServed == 0 {
 		t.Fatal("no lookups reached the fleet oracle; the test exercised nothing")
+	}
+}
+
+// TestMixedKindsZeroWrongUnderChaos is the per-kind acceptance bar: with
+// seeded fault injection and audit on, every kind's every answer from a
+// one-replica fleet must still agree with its host oracle — faults may slow
+// kinds down (retries, the fleet's oracle rung) but never corrupt any
+// family's answers or fail a lookup.
+func TestMixedKindsZeroWrongUnderChaos(t *testing.T) {
+	inj := faults.New(faults.Config{Seed: 42, PSortLie: 0.05, PCorrupt: 0.05, PDrop: 0.05, PDup: 0.05})
+	f := newTestFleet(t, Config{
+		Replicas: 1,
+		Instance: serve.Config{
+			Side: 8, Linger: 300 * time.Microsecond,
+			Kinds: []serve.Kind{serve.KindPointLoc, serve.KindInterval, serve.KindLinePoly, serve.KindTangent},
+			Audit: true, Injector: inj,
+		},
+	})
+	ss := f.Structures()
+	var wg sync.WaitGroup
+	errs := make(chan error, serve.NumKinds)
+	for _, k := range f.Kinds() {
+		k := k
+		st := ss.Get(k)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(100); i < 130; i++ {
+				args := st.ArgsFor(i)
+				var res Result
+				var err error
+				for {
+					res, err = f.LookupKind(context.Background(), k, args)
+					if !errors.Is(err, serve.ErrOverloaded) {
+						break
+					}
+					time.Sleep(time.Millisecond)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("%s lookup %v under chaos: %w", k, args, err)
+					return
+				}
+				want := serve.HostAnswer(st, args)
+				if res.Found != want.Found || res.Value != want.Value {
+					errs <- fmt.Errorf("%s %v: wrong answer under chaos (found=%v value=%d, oracle found=%v value=%d, degraded=%v)",
+						k, args, res.Found, res.Value, want.Found, want.Value, res.Degraded)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if inj.Count() == 0 {
+		t.Fatal("chaos injected no faults; the test exercised nothing")
 	}
 }

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"context"
+	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -65,22 +67,177 @@ func TestFailoverTraceCarriesHopAndRun(t *testing.T) {
 		t.Errorf("failover trace not linked to the answering step-clock run: seq=%d label=%q",
 			tr.RunSeq, tr.RunLabel)
 	}
-	// Partition invariant across the replica hop.
+	checkTracePartition(t, tr) // across the replica hop
+	if got := o.Find(tr.ID); got != tr {
+		t.Error("failover trace not retrievable by ID")
+	}
+}
+
+// checkTracePartition asserts the §3.9 span-partition invariant on one
+// finished trace: contiguous spans, first at 0, summing exactly to the
+// end-to-end duration.
+func checkTracePartition(t *testing.T, tr *obs.ReqTrace) {
+	t.Helper()
+	if len(tr.Spans) == 0 {
+		t.Errorf("trace %s finished with no spans", tr.ID)
+		return
+	}
 	if tr.Spans[0].Start != 0 {
-		t.Errorf("first span starts at %s", tr.Spans[0].Start)
+		t.Errorf("trace %s: first span starts at %s", tr.ID, tr.Spans[0].Start)
 	}
 	var sum time.Duration
 	for i, sp := range tr.Spans {
+		if sp.End < sp.Start {
+			t.Errorf("trace %s span %d (%s): negative", tr.ID, i, sp.Stage)
+		}
 		if i > 0 && sp.Start != tr.Spans[i-1].End {
-			t.Errorf("span %d (%s): gap/overlap", i, sp.Stage)
+			t.Errorf("trace %s span %d (%s): gap/overlap at %s vs %s",
+				tr.ID, i, sp.Stage, sp.Start, tr.Spans[i-1].End)
 		}
 		sum += sp.Dur()
 	}
 	if sum != tr.Dur() {
-		t.Errorf("spans sum to %s, e2e %s", sum, tr.Dur())
+		t.Errorf("trace %s: spans sum to %s, e2e %s (outcome %s)", tr.ID, sum, tr.Dur(), tr.Outcome)
 	}
-	if got := o.Find(tr.ID); got != tr {
-		t.Error("failover trace not retrievable by ID")
+}
+
+func countStage(tr *obs.ReqTrace, st obs.Stage) int {
+	n := 0
+	for _, sp := range tr.Spans {
+		if sp.Stage == st {
+			n++
+		}
+	}
+	return n
+}
+
+// TestStagePartitionUnderChaos drives the recovery ladder of a one-replica
+// fleet sharing one Observer — audited faults, retries with backoff, the
+// typed fault surfacing, the fleet's oracle — and checks the partition
+// invariant holds on every path, with the retry and oracle stages present
+// exactly where the outcome says they must be.
+func TestStagePartitionUnderChaos(t *testing.T) {
+	o := obs.New(obs.Config{Ring: 1024})
+	g := &gateInjector{}
+	f := newTestFleet(t, Config{
+		Replicas: 1,
+		Obs:      o,
+		Instance: serve.Config{
+			Side: 8, Audit: true, Injector: g, Tracer: trace.New(),
+			MaxRetries: 2, RetryBackoff: 10 * time.Microsecond,
+			Linger: 100 * time.Microsecond,
+		},
+		ProbeInterval: time.Hour, // only the test closes the circuit
+	})
+
+	lookupAll := func(n int) {
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			i := i
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					res, err := f.Lookup(context.Background(), int64(2*i+1))
+					if errors.Is(err, serve.ErrOverloaded) {
+						time.Sleep(time.Millisecond)
+						continue
+					}
+					if err != nil {
+						t.Errorf("lookup %d: %v", 2*i+1, err)
+					} else if !res.Found {
+						t.Errorf("lookup %d: odd key not found", 2*i+1)
+					}
+					return
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	lookupAll(8) // healthy phase: mesh outcomes
+	g.broken.Store(true)
+	lookupAll(8) // broken phase: retry ladder → typed fault → fleet oracle, circuit opens
+	g.broken.Store(false)
+	// A canary closes the circuit so the last phase serves mesh.
+	if inst := f.instance(0); inst.Canary(context.Background()) != nil || inst.CircuitOpen() {
+		t.Fatal("circuit not closed after faults cleared")
+	}
+	lookupAll(8) // recovered phase
+
+	if o.OutcomeCount(obs.OutcomeOracle) == 0 {
+		t.Fatal("broken phase produced no oracle outcomes")
+	}
+	if o.OutcomeCount(obs.OutcomeMesh) < 16 {
+		t.Fatalf("healthy phases produced %d mesh outcomes, want ≥ 16", o.OutcomeCount(obs.OutcomeMesh))
+	}
+	sawRetriedOracle := false
+	for _, tr := range o.Traces() {
+		checkTracePartition(t, tr)
+		switch tr.Outcome {
+		case obs.OutcomeOracle:
+			if !tr.HasStage(obs.StageOracle) || tr.Replica != -1 {
+				t.Errorf("oracle trace %s: replica %d, spans %+v", tr.ID, tr.Replica, tr.Spans)
+			}
+			// A batch that walked the retry ladder shows mesh/backoff/mesh…;
+			// one failed fast on the already-open circuit has no mesh attempts.
+			if tr.Attempts > 0 {
+				if tr.Attempts != 3 { // initial + MaxRetries, all faulting
+					t.Errorf("oracle trace %s took %d attempts, want 3", tr.ID, tr.Attempts)
+				}
+				if !tr.HasStage(obs.StageBackoff) {
+					t.Errorf("retried trace %s has no retry_backoff span", tr.ID)
+				}
+				sawRetriedOracle = true
+			}
+			if tr.RunSeq != 0 {
+				t.Errorf("oracle trace %s links run %d; no round answered it", tr.ID, tr.RunSeq)
+			}
+		case obs.OutcomeMesh:
+			if tr.HasStage(obs.StageOracle) {
+				t.Errorf("mesh trace %s has an oracle span", tr.ID)
+			}
+			if tr.RunSeq <= 0 {
+				t.Errorf("mesh trace %s not linked to its run", tr.ID)
+			}
+		}
+		if n := countStage(tr, obs.StageMesh); n != tr.Attempts {
+			t.Errorf("trace %s: %d mesh_round spans but %d attempts", tr.ID, n, tr.Attempts)
+		}
+	}
+	if !sawRetriedOracle {
+		t.Error("no oracle trace walked the full retry ladder (want mesh/backoff/mesh spans)")
+	}
+}
+
+// TestFleetLatencySplitByRung pins the fleet's rung-split latency: oracle
+// answers land in LatencyOracle, and the combined Latency sees mesh and
+// oracle answers alike.
+func TestFleetLatencySplitByRung(t *testing.T) {
+	g := &gateInjector{}
+	f := newTestFleet(t, Config{
+		Replicas: 1,
+		Instance: serve.Config{
+			Side: 8, Audit: true, Injector: g,
+			MaxRetries: -1, RetryBackoff: 10 * time.Microsecond,
+		},
+		ProbeInterval: time.Hour,
+	})
+	for i := 0; i < 5; i++ {
+		if res, err := f.Lookup(context.Background(), int64(2*i+1)); err != nil || res.Degraded {
+			t.Fatalf("healthy lookup: res=%+v err=%v", res, err)
+		}
+	}
+	g.broken.Store(true)
+	for i := 0; i < 3; i++ {
+		res, err := f.Lookup(context.Background(), int64(2*i+1))
+		if err != nil || !res.Degraded || res.Replica != -1 {
+			t.Fatalf("broken-phase lookup: res=%+v err=%v, want a fleet-oracle answer", res, err)
+		}
+	}
+	st := f.Stats()
+	if st.Latency.Count != 8 || st.LatencyOracle.Count != 3 || st.LatencyFailover.Count != 0 {
+		t.Fatalf("rung split: all %+v / oracle %+v / failover %+v", st.Latency, st.LatencyOracle, st.LatencyFailover)
 	}
 }
 
@@ -153,9 +310,8 @@ func TestRetryAfterHintNoHealthyReplicas(t *testing.T) {
 	}
 
 	// Break replica 0's mesh: one terminal fault opens its circuit, making
-	// it Degraded but still routable. (Fleet replicas run DisableOracle, so
-	// the lookup surfaces the typed fault rather than degrading — either
-	// way the breaker records the terminal failure.) The fleet hint must
+	// it Degraded but still routable. (The lookup surfaces the typed fault,
+	// and the breaker records the terminal failure.) The fleet hint must
 	// keep preferring the healthy replica 1.
 	inst0 := f.instance(0)
 	if _, err := inst0.Lookup(context.Background(), 7); err == nil {

@@ -115,9 +115,9 @@ type healthWeighted struct{}
 // HealthWeighted folds the PR 5 breaker state into routing: healthy
 // replicas (circuit closed) are always preferred, least-loaded among them;
 // a degraded replica — circuit open, the prober canarying it — receives
-// traffic only when no healthy replica is routable. With DisableOracle a
-// degraded instance fails lookups fast, so routing to one is a last resort
-// that the failover loop converts into an oracle answer.
+// traffic only when no healthy replica is routable. A degraded instance
+// fails lookups fast, so routing to one is a last resort that the failover
+// loop converts into an oracle answer.
 func HealthWeighted() Policy { return healthWeighted{} }
 
 func (healthWeighted) Name() string { return "health-weighted" }

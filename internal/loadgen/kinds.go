@@ -119,9 +119,8 @@ func StructureArgs(ss *serve.StructureSet) func(serve.Kind, int64) serve.Args {
 
 // StructureChecker builds the per-kind answer check from the host-side
 // structure set: an answer matches when Found and Value agree with the
-// kind's host oracle descent (the same descent the serving degrade rung
-// uses, so mesh, degraded, and fleet-oracle answers are all held to one
-// reference). Kinds absent from the set pass vacuously — the target would
+// kind's host oracle descent (the same descent the fleet's oracle rung
+// uses, so mesh and fleet-oracle answers are held to one reference). Kinds absent from the set pass vacuously — the target would
 // have rejected them with ErrKindNotServed before answering.
 func StructureChecker(ss *serve.StructureSet) func(serve.Kind, serve.Args, serve.Result) bool {
 	return func(k serve.Kind, args serve.Args, res serve.Result) bool {

@@ -377,9 +377,8 @@ func buildReport(events []TraceEvent, outcomes []outcome, samples []serve.Stats,
 		}
 		if lo < hi {
 			dSteps := samples[hi].SimSteps - samples[lo].SimSteps
-			dMesh := (samples[hi].Served - samples[hi].Degraded) - (samples[lo].Served - samples[lo].Degraded)
-			if dMesh > 0 {
-				ws.SimStepsPerQuery = float64(dSteps) / float64(dMesh)
+			if dServed := samples[hi].Served - samples[lo].Served; dServed > 0 {
+				ws.SimStepsPerQuery = float64(dSteps) / float64(dServed)
 			}
 			if hi < len(stageSamples) {
 				ws.StageNS = stageBreakdown(stageSamples[lo], stageSamples[hi], ws.Answered)
@@ -398,8 +397,8 @@ func buildReport(events []TraceEvent, outcomes []outcome, samples []serve.Stats,
 		total.MeanPathSteps = float64(totalPath) / float64(total.Answered)
 	}
 	first, last := samples[0], samples[len(samples)-1]
-	if dMesh := (last.Served - last.Degraded) - (first.Served - first.Degraded); dMesh > 0 {
-		total.SimStepsPerQuery = float64(last.SimSteps-first.SimSteps) / float64(dMesh)
+	if dServed := last.Served - first.Served; dServed > 0 {
+		total.SimStepsPerQuery = float64(last.SimSteps-first.SimSteps) / float64(dServed)
 	}
 	if len(stageSamples) > 0 {
 		total.StageNS = stageBreakdown(stageSamples[0], stageSamples[len(stageSamples)-1], total.Answered)

@@ -161,8 +161,8 @@ func StripAnswers(events []TraceEvent) []TraceEvent {
 // Every recorded answer must be reproduced exactly (kind, arguments, found,
 // value, path length); an arrival the replay failed to get answered counts
 // as a divergence too. Outcomes are deliberately not compared — a recorded
-// mesh answer replayed through the degrade rung is the same answer (that
-// difference lives in the digest, not in replay verification).
+// mesh answer replayed through the fleet's oracle rung is the same answer
+// (that difference lives in the digest, not in replay verification).
 func CompareAnswers(recorded, replayed []TraceEvent) (int, error) {
 	if len(recorded) != len(replayed) {
 		return 1, fmt.Errorf("event count differs: recorded %d, replayed %d", len(recorded), len(replayed))

@@ -96,14 +96,14 @@ func TestObserverCountsOutcomesAndStages(t *testing.T) {
 	start := time.Now()
 	mk(o, 1, start, OutcomeMesh, []Stage{StageAdmit, StageMesh}, []time.Duration{time.Millisecond, time.Millisecond})
 	mk(o, 2, start, OutcomeMesh, []Stage{StageAdmit, StageMesh}, []time.Duration{time.Millisecond, time.Millisecond})
-	mk(o, 3, start, OutcomeDegraded, []Stage{StageAdmit, StageOracle}, []time.Duration{time.Millisecond, time.Millisecond})
+	mk(o, 3, start, OutcomeOracle, []Stage{StageAdmit, StageOracle}, []time.Duration{time.Millisecond, time.Millisecond})
 	o.Abandon(o.Begin(TraceID{}, 4, start))
 
 	if got := o.OutcomeCount(OutcomeMesh); got != 2 {
 		t.Errorf("mesh outcomes %d, want 2", got)
 	}
-	if got := o.OutcomeCount(OutcomeDegraded); got != 1 {
-		t.Errorf("degraded outcomes %d, want 1", got)
+	if got := o.OutcomeCount(OutcomeOracle); got != 1 {
+		t.Errorf("oracle outcomes %d, want 1", got)
 	}
 	if o.Begun() != 4 || o.Abandoned() != 1 {
 		t.Errorf("begun %d abandoned %d, want 4/1", o.Begun(), o.Abandoned())
@@ -227,7 +227,7 @@ func TestStageAndOutcomeNames(t *testing.T) {
 	if got := StageNames(); len(got) != int(numStages) {
 		t.Errorf("StageNames has %d entries, want %d", len(got), numStages)
 	}
-	wantOutcomes := []string{"mesh", "degraded", "failover", "oracle", "rejected", "error", "closed"}
+	wantOutcomes := []string{"mesh", "failover", "oracle", "rejected", "error", "closed"}
 	for i, w := range wantOutcomes {
 		if got := Outcome(i).String(); got != w {
 			t.Errorf("Outcome(%d) = %q, want %q", i, got, w)

@@ -7,12 +7,10 @@ import (
 	"time"
 )
 
-// Backoff is a jittered exponential backoff policy, shared by the server's
-// recovery ladder (sleeping between round re-executions) and by clients
-// backing off ErrOverloaded (the meshserve load generator). Full jitter:
-// attempt k (0-based) sleeps a uniform duration in (0, min(Cap, Base·2^k)],
-// so a thundering herd of rejected clients decorrelates instead of
-// re-colliding on a fixed boundary.
+// Backoff is a jittered exponential backoff policy: the recovery ladder
+// sleeps it between round re-executions. Full jitter: attempt k (0-based)
+// sleeps a uniform duration in (0, min(Cap, Base·2^k)], so concurrent
+// retries decorrelate instead of re-colliding on a fixed boundary.
 //
 // The zero value is usable: Base defaults to 200µs (one mesh round on the
 // small meshes is in that range) and Cap to 50ms.
@@ -70,12 +68,7 @@ func (b Backoff) Delay(attempt int) time.Duration {
 // first, and reports whether the full delay elapsed (false means the
 // context fired and the caller should stop retrying).
 func (b Backoff) Sleep(ctx context.Context, attempt int) bool {
-	d := b.Delay(attempt)
-	if ctx == nil {
-		time.Sleep(d)
-		return true
-	}
-	timer := time.NewTimer(d)
+	timer := time.NewTimer(b.Delay(attempt))
 	defer timer.Stop()
 	select {
 	case <-timer.C:

@@ -10,21 +10,22 @@ import (
 )
 
 // TestDisableOracleSurfacesTypedFaults pins the fleet-facing instance
-// contract (DESIGN.md §3.8): with DisableOracle the ladder keeps its
-// breaker and canary rounds, but a round the mesh cannot serve
-// returns its typed fault — never a host-oracle answer — so a fleet can
-// fail the lookup over to another replica before anything degrades.
+// contract (DESIGN.md §3.8) in the default config: the ladder keeps its
+// breaker and canary rounds, but a round the mesh cannot serve returns its
+// typed fault — never a host-oracle answer — so a fleet can fail the lookup
+// over to another replica before anything degrades. The name is that of
+// the deprecated Config.DisableOracle, which has no effect.
 func TestDisableOracleSurfacesTypedFaults(t *testing.T) {
 	t.Run("budget overrun fails typed instead of degrading", func(t *testing.T) {
-		s := newTestServer(t, Config{Side: 8, Budget: 3, DisableOracle: true})
+		s := newTestServer(t, Config{Side: 8, Budget: 3})
 		_, err := s.Lookup(context.Background(), 1)
 		var be *mesh.BudgetExceededError
 		if !errors.As(err, &be) {
 			t.Fatalf("lookup error %v does not unwrap to *mesh.BudgetExceededError", err)
 		}
 		st := s.Stats()
-		if st.Degraded != 0 || st.DegradedRounds != 0 {
-			t.Fatalf("oracle answered despite DisableOracle: %+v", st)
+		if st.Served != 0 {
+			t.Fatalf("a failed round was counted answered: %+v", st)
 		}
 		if st.Failed == 0 {
 			t.Fatalf("failed lookup not counted: %+v", st)
@@ -34,7 +35,7 @@ func TestDisableOracleSurfacesTypedFaults(t *testing.T) {
 	t.Run("open circuit fast-fails and canaries still close it", func(t *testing.T) {
 		g := &gateInjector{}
 		s := newTestServer(t, Config{
-			Side: 8, Audit: true, Injector: g, DisableOracle: true,
+			Side: 8, Audit: true, Injector: g,
 			MaxRetries: -1, RetryBackoff: 10 * time.Microsecond,
 		})
 		if res, err := s.Lookup(context.Background(), 3); err != nil || res.Degraded {
@@ -58,8 +59,8 @@ func TestDisableOracleSurfacesTypedFaults(t *testing.T) {
 			t.Fatalf("open-circuit lookup error %v, want ErrCircuitOpen", err)
 		}
 
-		// Heal the mesh: a canary must still run under DisableOracle and
-		// close the circuit with no help from traffic.
+		// Heal the mesh: a canary must still run and close the circuit with
+		// no help from traffic.
 		g.broken.Store(false)
 		if err := s.Canary(context.Background()); err != nil || s.CircuitOpen() {
 			t.Fatalf("canary on a healed mesh: err=%v, circuit open %v", err, s.CircuitOpen())
@@ -68,11 +69,11 @@ func TestDisableOracleSurfacesTypedFaults(t *testing.T) {
 			t.Fatalf("post-recovery lookup: res=%+v err=%v", res, err)
 		}
 		st := s.Stats()
-		if st.Degraded != 0 {
-			t.Fatalf("oracle answered somewhere in the cycle: %+v", st)
+		if st.Served != 2 || st.Failed != 2 {
+			t.Fatalf("want the 2 mesh answers and the 2 typed faults, got %+v", st)
 		}
 		if st.CircuitOpens == 0 || st.CircuitCloses == 0 || st.CanaryRounds == 0 {
-			t.Fatalf("breaker/canary machinery idle under DisableOracle: %+v", st)
+			t.Fatalf("breaker/canary machinery idle: %+v", st)
 		}
 	})
 }

@@ -144,7 +144,7 @@ type Structure interface {
 }
 
 // HostAnswer answers one request sequentially on the host by descending the
-// structure's graph with its own successor — the degrade rung's oracle.
+// structure's graph with its own successor — the fleet oracle rung's answer.
 // Identical descent, identical Value/Found/Steps as a faithful mesh round;
 // correct, but unaccounted in simulated mesh steps.
 func HostAnswer(st Structure, a Args) Answer {

@@ -18,11 +18,12 @@ import (
 // circuitOpen flag.
 
 // serveBatch answers one batch of one kind. Circuit open: fail fast with
-// ErrCircuitOpen (DisableOracle) or answer from the kind's host oracle —
-// only a Canary closes the circuit. Circuit closed: run the retry ladder —
-// attempt the round, classify any fault, re-execute with auditing forced on
-// under jittered backoff, and degrade to the oracle when the mesh keeps
-// failing.
+// ErrCircuitOpen — only a Canary closes the circuit. Circuit closed: run
+// the retry ladder — attempt the round, classify any fault, re-execute with
+// auditing forced on under jittered backoff, and fail the batch with the
+// last fault when the mesh keeps failing. The instance never answers from
+// the host oracle: the fleet fails the lookup over, and only then answers
+// from its own oracle rung.
 func (s *Instance) serveBatch(kr *kindRuntime, batch []request) {
 	round := s.rounds.Add(1)
 	kr.rounds.Add(1)
@@ -35,14 +36,9 @@ func (s *Instance) serveBatch(kr *kindRuntime, batch []request) {
 	s.markBatch(batch, obs.StageLinger)
 
 	if s.circuitOpen.Load() {
-		if s.cfg.DisableOracle {
-			// No oracle rung on this instance: fail fast with the typed
-			// circuit error so the fleet can re-dispatch the lookup to a
-			// replica whose mesh is still trusted.
-			s.failBatch(batch, ErrCircuitOpen)
-			return
-		}
-		s.degradeBatch(kr, batch, round)
+		// Fail fast with the typed circuit error so the fleet can
+		// re-dispatch the lookup to a replica whose mesh is still trusted.
+		s.failBatch(batch, ErrCircuitOpen)
 		return
 	}
 
@@ -122,18 +118,11 @@ func (s *Instance) serveBatch(kr *kindRuntime, batch []request) {
 			break
 		}
 	}
+	// The breaker records the terminal failure and opens the circuit; the
+	// fault surfaces for the fleet to fail over.
 	s.m.SetAudit(s.cfg.Audit)
 	s.observeRound(true, true)
-	if s.cfg.DisableDegrade || s.cfg.DisableOracle {
-		// DisableDegrade: the whole ladder is off — deliver the typed
-		// fault (observeRound was a no-op). DisableOracle: the breaker has
-		// recorded the terminal failure and opened the circuit, but the
-		// oracle rung lives above this instance, so the fault surfaces for
-		// the fleet to fail over.
-		s.failBatch(batch, lastErr)
-		return
-	}
-	s.degradeBatch(kr, batch, round)
+	s.failBatch(batch, lastErr)
 }
 
 // batchDoomed reports whether every request of the batch carries a deadline
@@ -242,46 +231,12 @@ func (s *Instance) markBatch(batch []request, stage obs.Stage) {
 	}
 }
 
-// degradeBatch answers every query of the batch from the kind's host-side
-// oracle descent: correct (same answer, same search-path length a faithful
-// round would report) but unaccounted in mesh steps, and flagged Degraded.
-func (s *Instance) degradeBatch(kr *kindRuntime, batch []request, round int64) {
-	s.degraded.Add(int64(len(batch)))
-	kr.degraded.Add(int64(len(batch)))
-	s.degradedRounds.Add(1)
-	s.served.Add(int64(len(batch)))
-	kr.served.Add(int64(len(batch)))
-	for _, r := range batch {
-		ans := HostAnswer(kr.st, r.args)
-		if r.tr != nil {
-			// Per-request, before the resp send (which hands the trace back
-			// to the Lookup goroutine): the oracle span covers this
-			// request's share of the host-side sweep.
-			r.tr.Mark(obs.StageOracle)
-		}
-		r.resp <- response{res: Result{
-			Kind:     kr.kind,
-			Needle:   r.args[0],
-			Found:    ans.Found,
-			LeafKey:  ans.Value,
-			Value:    ans.Value,
-			Aux:      ans.Aux,
-			Steps:    ans.Steps,
-			Round:    round,
-			Degraded: true,
-		}}
-	}
-}
-
 // observeRound feeds the circuit breaker with one mesh-path outcome.
 // firstAttemptFailed is the breaker's signal (it measures mesh fault rate,
 // not user-visible failures — a recovered round still counts against the
 // window); terminal means the whole ladder failed, which opens the circuit
 // immediately rather than waiting for the window to fill.
 func (s *Instance) observeRound(firstAttemptFailed, terminal bool) {
-	if s.cfg.DisableDegrade {
-		return
-	}
 	open := s.brk.record(firstAttemptFailed)
 	if terminal || open {
 		s.openCircuit()

@@ -66,10 +66,10 @@ func (p *panicInjector) DuplicateReply(int) (int, int, bool) {
 
 // TestTypedFaultsCrossRetryBoundary proves errors.As through serve.Lookup
 // results still reaches the typed mesh faults once the retry ladder sits in
-// between (DisableDegrade keeps the terminal error user-visible).
+// between.
 func TestTypedFaultsCrossRetryBoundary(t *testing.T) {
 	t.Run("budget", func(t *testing.T) {
-		s := newTestServer(t, Config{Side: 8, Budget: 3, DisableDegrade: true})
+		s := newTestServer(t, Config{Side: 8, Budget: 3})
 		_, err := s.Lookup(context.Background(), 1)
 		var be *mesh.BudgetExceededError
 		if !errors.As(err, &be) {
@@ -88,7 +88,7 @@ func TestTypedFaultsCrossRetryBoundary(t *testing.T) {
 		g := &gateInjector{}
 		g.broken.Store(true) // every sort lies, every attempt trips the audit
 		s := newTestServer(t, Config{
-			Side: 8, Audit: true, Injector: g, DisableDegrade: true,
+			Side: 8, Audit: true, Injector: g,
 			MaxRetries: 1, RetryBackoff: 10 * time.Microsecond,
 		})
 		_, err := s.Lookup(context.Background(), 1)
@@ -116,8 +116,7 @@ func TestTypedFaultsCrossRetryBoundary(t *testing.T) {
 		for _, at := range []int{0, 2, 4, 8, 16, 32, 64, 128} {
 			inj := &panicInjector{at: at}
 			s := newTestServer(t, Config{
-				Side: 8, Injector: inj,
-				DisableDegrade: true, MaxRetries: -1, Parallelism: 1,
+				Side: 8, Injector: inj, MaxRetries: -1, Parallelism: 1,
 			})
 			inj.armed.Store(true)
 			_, err := s.Lookup(context.Background(), 1)
@@ -205,52 +204,14 @@ func TestChaosSortFaultRetriedAndRecovered(t *testing.T) {
 	if st.Served != clients*perClient {
 		t.Fatalf("served %d, want %d", st.Served, clients*perClient)
 	}
-	t.Logf("injected %d faults → %d retries, %d recovered rounds, %d degraded answers",
-		inj.Count(), st.Retries, st.Recovered, st.Degraded)
-}
-
-// TestBudgetOverrunDegradesToOracle is the graceful-degradation contract: a
-// deterministic fault (per-round budget too small for any round) is never
-// user-visible — the batch is answered by the host oracle, flagged
-// degraded, and the circuit opens.
-func TestBudgetOverrunDegradesToOracle(t *testing.T) {
-	s := newTestServer(t, Config{Side: 8, Budget: 3})
-	res, err := s.Lookup(context.Background(), 3)
-	if err != nil {
-		t.Fatalf("lookup under recovery returned error %v; want degraded answer", err)
-	}
-	if !res.Degraded {
-		t.Fatalf("result not flagged degraded: %+v", res)
-	}
-	if want := s.Tree().Contains(3); res.Found != want {
-		t.Fatalf("degraded answer wrong: found=%v want %v", res.Found, want)
-	}
-	leaf, _, path := s.Tree().HostLookup(3)
-	if res.LeafKey != leaf || res.Steps != path {
-		t.Fatalf("degraded answer provenance wrong: %+v (want leaf %d, path %d)", res, leaf, path)
-	}
-	if !s.CircuitOpen() {
-		t.Fatal("terminal round failure left the circuit closed")
-	}
-	// The open circuit routes the next batch straight to the oracle: no
-	// mesh round, still a correct degraded answer.
-	res2, err := s.Lookup(context.Background(), 4)
-	if err != nil || !res2.Degraded || res2.Found != s.Tree().Contains(4) {
-		t.Fatalf("open-circuit lookup: res=%+v err=%v", res2, err)
-	}
-	st := s.Stats()
-	if st.Failed != 0 || st.Degraded < 2 || st.DegradedRounds < 2 {
-		t.Fatalf("degraded accounting wrong: %+v", st)
-	}
-	if st.FaultsBudget == 0 || st.CircuitOpens != 1 {
-		t.Fatalf("breaker accounting wrong: %+v", st)
-	}
+	t.Logf("injected %d faults → %d retries, %d recovered rounds",
+		inj.Count(), st.Retries, st.Recovered)
 }
 
 // TestCircuitBreakerOpensAndCanaryCloses drives the full breaker cycle by
-// hand: closed → (mesh breaks) open with oracle answers → a canary on the
-// still-broken mesh fails and leaves it open → (mesh heals) a canary closes
-// it → mesh serving again. No canary runs unless asked: the instance has no
+// hand: closed → (mesh breaks) a typed fault opens it → a canary on the
+// still-broken mesh fails and leaves it open, and lookups fail fast with
+// ErrCircuitOpen → (mesh heals) a canary closes it → mesh serving again. No canary runs unless asked: the instance has no
 // prober of its own. (The /healthz 200 → 503 → 200 view of the same cycle,
 // with the fleet's prober, is a fleet test.)
 func TestCircuitBreakerOpensAndCanaryCloses(t *testing.T) {
@@ -272,11 +233,12 @@ func TestCircuitBreakerOpensAndCanaryCloses(t *testing.T) {
 	}
 
 	// Phase 2: break the mesh. The next round fails terminally (no
-	// retries), the circuit opens, and the batch degrades to the oracle.
+	// retries), the circuit opens, and the batch gets the typed fault.
 	g.broken.Store(true)
-	res, err = s.Lookup(ctx, 5)
-	if err != nil || !res.Degraded || res.Found != s.Tree().Contains(5) {
-		t.Fatalf("broken-mesh lookup: res=%+v err=%v", res, err)
+	_, err = s.Lookup(ctx, 5)
+	var ae *mesh.AuditError
+	if !errors.As(err, &ae) {
+		t.Fatalf("broken-mesh lookup error %v does not unwrap to *mesh.AuditError", err)
 	}
 	if !s.CircuitOpen() {
 		t.Fatal("circuit closed after a terminal failure")
@@ -288,8 +250,8 @@ func TestCircuitBreakerOpensAndCanaryCloses(t *testing.T) {
 	if !s.CircuitOpen() {
 		t.Fatal("a failed canary closed the circuit")
 	}
-	if _, err := s.Lookup(ctx, 7); err != nil {
-		t.Fatal(err)
+	if _, err := s.Lookup(ctx, 7); !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("open-circuit lookup error %v, want ErrCircuitOpen", err)
 	}
 
 	// Phase 3: heal the mesh; the next canary closes the circuit.
@@ -311,8 +273,8 @@ func TestCircuitBreakerOpensAndCanaryCloses(t *testing.T) {
 	if st.CanaryRounds != 2 || st.CanaryFails != 1 {
 		t.Fatalf("canary accounting wrong (want 2 probes, 1 failed): %+v", st)
 	}
-	if st.Failed != 0 {
-		t.Fatalf("user-visible failures across the whole cycle: %+v", st)
+	if st.Failed != 2 {
+		t.Fatalf("want exactly the typed fault and the open-circuit failure, got %+v", st)
 	}
 }
 
@@ -355,7 +317,7 @@ func TestRoundNames(t *testing.T) {
 		t.Fatalf("traced round span %q, want %q", got, want)
 	}
 
-	s = newTestServer(t, Config{Side: 8, Budget: 3, DisableDegrade: true, MaxRetries: -1})
+	s = newTestServer(t, Config{Side: 8, Budget: 3, MaxRetries: -1})
 	_, err := s.Lookup(context.Background(), 3)
 	var re *core.RunError
 	if !errors.As(err, &re) {

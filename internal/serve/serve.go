@@ -20,14 +20,15 @@
 // run (via the run-control context seam) if the caller's drain deadline
 // expires.
 //
-// Round failures are not user-visible (DESIGN.md §3.6): a faulted round is
-// classified (core.Classify), re-executed with auditing forced on under
-// jittered backoff, and — if the mesh keeps failing — the batch is answered
-// by the kind's host-side oracle descent, flagged Degraded. A sliding-window
-// circuit breaker opens when the mesh keeps faulting; an open circuit routes
-// batches straight to the oracle until an audited canary round across every
-// enabled kind (Canary) closes it. The instance never schedules canaries
-// itself: the fleet's prober owns that decision (internal/fleet).
+// Round failures are typed (DESIGN.md §3.6): a faulted round is classified
+// (core.Classify), re-executed with auditing forced on under jittered
+// backoff, and — if the mesh keeps failing — the batch fails with the last
+// fault. A sliding-window circuit breaker opens when the mesh keeps
+// faulting; an open circuit fails batches fast with ErrCircuitOpen until an
+// audited canary round across every enabled kind (Canary) closes it. The
+// instance never schedules canaries and never answers from the host oracle
+// itself: the fleet's prober owns canaries, and the fleet answers what no
+// replica can, first by failover and last from its oracle (internal/fleet).
 package serve
 
 import (
@@ -55,9 +56,8 @@ var ErrOverloaded = errors.New("serve: admission queue full")
 // ErrClosed is returned by Lookup once Shutdown has begun.
 var ErrClosed = errors.New("serve: server closed")
 
-// ErrCircuitOpen is returned (only with DisableOracle) for lookups arriving
-// while the circuit is open: the mesh path is distrusted and this instance
-// has no oracle rung of its own. The fleet layer treats it as a failover
+// ErrCircuitOpen is returned for lookups arriving while the circuit is
+// open: the mesh path is distrusted. The fleet layer treats it as a failover
 // trigger — re-dispatch to a healthy replica, then the fleet-level oracle.
 var ErrCircuitOpen = errors.New("serve: circuit open, mesh path unavailable")
 
@@ -119,15 +119,15 @@ type Config struct {
 
 	// Audit enables audit mode on every round, not only on retries. Under
 	// fault injection this is what guarantees zero wrong answers: a fault
-	// trips the audit and the round is retried or degraded instead of
-	// silently corrupting results.
+	// trips the audit and the round is retried, or fails with its typed
+	// fault, instead of silently corrupting results.
 	Audit bool
 	// Injector installs a fault injector on the serving mesh (chaos
 	// testing; see internal/faults). Nil disables injection.
 	Injector mesh.Injector
 	// MaxRetries is how many audited re-executions a failed round gets
-	// before its batch falls back to the host oracle. 0 defaults to 3;
-	// negative means no retries.
+	// before its batch fails with the last fault. 0 defaults to 3; negative
+	// means no retries.
 	MaxRetries int
 	// RetryBackoff is the base of the jittered exponential backoff slept
 	// between attempts (0 defaults to Backoff's 200µs base).
@@ -137,18 +137,10 @@ type Config struct {
 	// drawing from the process-global rand, two identical chaos runs sleep
 	// differently between retries. 0 keeps the global source (the default).
 	BackoffSeed int64
-	// DisableDegrade turns off the oracle fallback and the circuit breaker:
-	// a round that exhausts its retries delivers the typed fault to every
-	// query of the batch (the pre-recovery behaviour). Diagnostics and
-	// tests; production serving wants the default.
-	DisableDegrade bool
-	// DisableOracle keeps the whole recovery ladder — retries, breaker,
-	// canary rounds — but removes only the final oracle rung:
-	// an exhausted batch delivers its typed fault, and a circuit-open
-	// instance fails lookups fast with ErrCircuitOpen instead of answering
-	// from the host oracle. This is how an instance runs inside a fleet,
-	// where the ladder continues above it (failover to a healthy replica
-	// before the fleet-level oracle); standalone serving wants the default.
+	// DisableOracle is kept only for source compatibility: an instance
+	// always surfaces typed faults, and the fleet owns the oracle rung.
+	//
+	// Deprecated: no effect.
 	DisableOracle bool
 	// BreakerWindow is the number of recent mesh rounds in the circuit
 	// breaker's sliding window (0 defaults to 16).
@@ -182,8 +174,9 @@ type Result struct {
 	Aux   int64 `json:"aux,omitempty"`
 	Steps int32 `json:"steps"` // search-path length of this query
 	Round int64 `json:"round"` // serving round that answered it
-	// Degraded marks an answer produced by the host-side oracle instead of
-	// a mesh round: correct, but unaccounted in simulated mesh steps.
+	// Degraded marks an answer produced by the fleet's host-side oracle
+	// instead of a mesh round: correct, but unaccounted in simulated mesh
+	// steps. An instance never sets it.
 	Degraded bool `json:"degraded,omitempty"`
 }
 
@@ -191,15 +184,13 @@ type Result struct {
 type KindStats struct {
 	Kind     string             `json:"kind"`
 	Served   int64              `json:"served"`
-	Degraded int64              `json:"degraded"`
 	Rounds   int64              `json:"rounds"`
 	SimSteps int64              `json:"sim_steps"`
 	Latency  obs.LatencySummary `json:"latency"`
 }
 
-// Stats is a point-in-time snapshot of the serving counters. Served counts
-// every successfully answered lookup, mesh-served and degraded alike;
-// Degraded is the oracle-answered subset.
+// Stats is a point-in-time snapshot of the serving counters. Every lookup
+// an instance answers is mesh-served.
 type Stats struct {
 	Accepted   int64 `json:"accepted"`    // lookups admitted to the queue
 	Rejected   int64 `json:"rejected"`    // lookups refused with ErrOverloaded
@@ -217,34 +208,30 @@ type Stats struct {
 	BudgetShed int64 `json:"budget_shed"`
 
 	// Recovery accounting (DESIGN.md §3.6).
-	Retries        int64  `json:"retries"`         // audited re-executions of failed rounds
-	Recovered      int64  `json:"recovered"`       // rounds that failed, then succeeded on a retry
-	Degraded       int64  `json:"degraded"`        // lookups answered by the host oracle
-	DegradedRounds int64  `json:"degraded_rounds"` // batches that fell back to the oracle
-	CircuitOpens   int64  `json:"circuit_opens"`   // healthy → degraded transitions
-	CircuitCloses  int64  `json:"circuit_closes"`  // degraded → healthy transitions
-	CanaryRounds   int64  `json:"canary_rounds"`   // audited canary probes executed
-	CanaryFails    int64  `json:"canary_fails"`    // canary probes that failed
-	FaultsAudit    int64  `json:"faults_audit"`    // round attempts failed by fault class
+	Retries        int64  `json:"retries"`        // audited re-executions of failed rounds
+	Recovered      int64  `json:"recovered"`      // rounds that failed, then succeeded on a retry
+	CircuitOpens   int64  `json:"circuit_opens"`  // healthy → degraded transitions
+	CircuitCloses  int64  `json:"circuit_closes"` // degraded → healthy transitions
+	CanaryRounds   int64  `json:"canary_rounds"`  // audited canary probes executed
+	CanaryFails    int64  `json:"canary_fails"`   // canary probes that failed
+	FaultsAudit    int64  `json:"faults_audit"`   // round attempts failed by fault class
 	FaultsBudget   int64  `json:"faults_budget"`
 	FaultsCanceled int64  `json:"faults_canceled"`
 	FaultsPanic    int64  `json:"faults_panic"`
 	FaultsOther    int64  `json:"faults_other"`
 	Health         string `json:"health"` // the fleet's verdict, set only on fleet.Stats.Agg
 
-	// Latency summarizes the answered-lookup latency histogram (admission to
-	// response, mesh-served and degraded alike) so /metrics exposes serving
-	// percentiles without any per-query allocation on the hot path.
+	// Latency summarizes the latency histogram of every delivered response,
+	// answers and round faults alike (admission to response), so /metrics
+	// exposes serving percentiles without any per-query allocation on the
+	// hot path.
 	Latency obs.LatencySummary `json:"latency"`
-	// LatencyMesh / LatencyDegraded split the answered-lookup latency by
-	// outcome, so the oracle fast path (no simulated round) cannot pollute
-	// the mesh-served p99 or vice versa. Latency stays as the combined view
-	// for continuity with PR 6 dashboards.
-	LatencyMesh     obs.LatencySummary `json:"latency_mesh"`
-	LatencyDegraded obs.LatencySummary `json:"latency_degraded"`
+	// LatencyMesh is the answered subset, so a lookup that fails fast on an
+	// open circuit cannot pollute the mesh-served p99.
+	LatencyMesh obs.LatencySummary `json:"latency_mesh"`
 
-	// Kinds splits the served/degraded/round counters and latency by query
-	// kind, in enabled-kind order (DESIGN.md §3.10).
+	// Kinds splits the served/round counters and latency by query kind, in
+	// enabled-kind order (DESIGN.md §3.10).
 	Kinds []KindStats `json:"kinds,omitempty"`
 }
 
@@ -289,8 +276,8 @@ type kindRuntime struct {
 	args             []Args
 	queries, results []core.Query
 
-	rounds, served, degraded, simSteps atomic.Int64
-	lat                                obs.Histogram
+	rounds, served, simSteps atomic.Int64
+	lat                      obs.Histogram
 	// stepsEWMA tracks recent mesh steps per round of this kind (EWMA ×256
 	// fixed-point), the steps half of the expected-round-time product.
 	stepsEWMA atomic.Int64
@@ -331,11 +318,10 @@ type Instance struct {
 	// nsPerStep is the observed steps-to-wall-clock ratio (float64 bits),
 	// an EWMA over mesh rounds. With the kind's step budget (Theorem 2's
 	// O(√n) bound) it predicts round latency: expected ≈ steps × ns/step.
-	nsPerStep   atomic.Uint64
-	lat         obs.Histogram // answered-lookup latency, admission → response
-	latMesh     obs.Histogram // mesh-answered subset
-	latDegraded obs.Histogram // oracle-answered subset
-	obs         *obs.Observer
+	nsPerStep atomic.Uint64
+	lat       obs.Histogram // delivered-response latency, admission → response
+	latMesh   obs.Histogram // answered subset
+	obs       *obs.Observer
 
 	// Recovery state (DESIGN.md §3.6). maxRetries/backoff are the resolved
 	// Config knobs; brk is owned by the executor goroutine; circuitOpen
@@ -352,7 +338,6 @@ type Instance struct {
 	slots freelist.List[chan response]
 
 	retries, recovered           atomic.Int64
-	degraded, degradedRounds     atomic.Int64
 	circuitOpens, circuitCloses  atomic.Int64
 	canaryRounds, canaryFailures atomic.Int64
 	faults                       [core.FaultOther + 1]atomic.Int64
@@ -491,8 +476,8 @@ func New(cfg Config) (*Instance, error) {
 }
 
 // CircuitOpen reports whether the breaker has opened: the mesh path is
-// distrusted, and batches fail fast (DisableOracle) or degrade to the
-// oracle until a Canary closes the circuit.
+// distrusted, and batches fail fast with ErrCircuitOpen until a Canary
+// closes the circuit.
 func (s *Instance) CircuitOpen() bool { return s.circuitOpen.Load() }
 
 // Canary runs one audited canary round per enabled kind on the executor
@@ -552,6 +537,13 @@ func (s *Instance) QueueLen() int {
 		total += len(s.kr[k].queue)
 	}
 	return total
+}
+
+// InFlight is how many admitted lookups are not yet answered or failed —
+// the chaos monkey's signal that a crash now would force a failover. A
+// point-in-time sample that can briefly read low.
+func (s *Instance) InFlight() int64 {
+	return s.accepted.Load() - s.served.Load() - s.failed.Load()
 }
 
 // QueueCap is the admission capacity summed across kinds.
@@ -783,7 +775,7 @@ func (s *Instance) refuse(tr *obs.ReqTrace, created bool, oc obs.Outcome, err er
 
 // answered records a delivered response: the latency histograms and, if
 // the lookup began its trace, the finished trace. Latency is admission →
-// response, mesh-served and degraded alike; rejected and abandoned lookups
+// response, answers and round faults alike; rejected and abandoned lookups
 // never reach a round, so they do not pollute the serving histogram.
 //
 //go:noinline
@@ -791,27 +783,13 @@ func (s *Instance) answered(kr *kindRuntime, tr *obs.ReqTrace, created bool, r *
 	e2e := time.Since(start)
 	s.lat.Observe(e2e)
 	kr.lat.Observe(e2e)
+	oc := obs.OutcomeError
 	if r.err == nil {
-		if r.res.Degraded {
-			s.latDegraded.Observe(e2e)
-		} else {
-			s.latMesh.Observe(e2e)
-		}
+		s.latMesh.Observe(e2e)
+		oc = obs.OutcomeMesh
 	}
 	if created {
-		s.obs.Finish(tr, lookupOutcome(*r), r.err)
-	}
-}
-
-// lookupOutcome classifies a delivered response for the trace record.
-func lookupOutcome(r response) obs.Outcome {
-	switch {
-	case r.err != nil:
-		return obs.OutcomeError
-	case r.res.Degraded:
-		return obs.OutcomeDegraded
-	default:
-		return obs.OutcomeMesh
+		s.obs.Finish(tr, oc, r.err)
 	}
 }
 
@@ -819,11 +797,9 @@ func lookupOutcome(r response) obs.Outcome {
 // bucket-exact across replicas for its Prometheus exposition.
 func (s *Instance) LatencySnapshot() obs.HistSnapshot { return s.lat.Snapshot() }
 
-// LatencyByOutcome exposes the outcome-split latency histograms (mesh- vs
-// oracle-answered), merged by the fleet like LatencySnapshot.
-func (s *Instance) LatencyByOutcome() (mesh, degraded obs.HistSnapshot) {
-	return s.latMesh.Snapshot(), s.latDegraded.Snapshot()
-}
+// LatencyMeshSnapshot exposes the answered subset's latency histogram,
+// merged by the fleet like LatencySnapshot.
+func (s *Instance) LatencyMeshSnapshot() obs.HistSnapshot { return s.latMesh.Snapshot() }
 
 // collect is one kind's admission stage: it blocks for a round's first
 // query, then fills the batch until the kind's batch cap or the linger
@@ -981,29 +957,25 @@ func (s *Instance) Stats() Stats {
 		PeakBatch:  s.peakBatch.Load(),
 		StepBudget: s.cfg.Budget,
 
-		Retries:         s.retries.Load(),
-		Recovered:       s.recovered.Load(),
-		Degraded:        s.degraded.Load(),
-		DegradedRounds:  s.degradedRounds.Load(),
-		CircuitOpens:    s.circuitOpens.Load(),
-		CircuitCloses:   s.circuitCloses.Load(),
-		CanaryRounds:    s.canaryRounds.Load(),
-		CanaryFails:     s.canaryFailures.Load(),
-		FaultsAudit:     s.faults[core.FaultAudit].Load(),
-		FaultsBudget:    s.faults[core.FaultBudget].Load(),
-		FaultsCanceled:  s.faults[core.FaultCanceled].Load(),
-		FaultsPanic:     s.faults[core.FaultPanic].Load(),
-		FaultsOther:     s.faults[core.FaultOther].Load(),
-		Latency:         s.lat.Snapshot().Summary(),
-		LatencyMesh:     s.latMesh.Snapshot().Summary(),
-		LatencyDegraded: s.latDegraded.Snapshot().Summary(),
+		Retries:        s.retries.Load(),
+		Recovered:      s.recovered.Load(),
+		CircuitOpens:   s.circuitOpens.Load(),
+		CircuitCloses:  s.circuitCloses.Load(),
+		CanaryRounds:   s.canaryRounds.Load(),
+		CanaryFails:    s.canaryFailures.Load(),
+		FaultsAudit:    s.faults[core.FaultAudit].Load(),
+		FaultsBudget:   s.faults[core.FaultBudget].Load(),
+		FaultsCanceled: s.faults[core.FaultCanceled].Load(),
+		FaultsPanic:    s.faults[core.FaultPanic].Load(),
+		FaultsOther:    s.faults[core.FaultOther].Load(),
+		Latency:        s.lat.Snapshot().Summary(),
+		LatencyMesh:    s.latMesh.Snapshot().Summary(),
 	}
 	for _, k := range s.kinds {
 		kr := s.kr[k]
 		st.Kinds = append(st.Kinds, KindStats{
 			Kind:     k.String(),
 			Served:   kr.served.Load(),
-			Degraded: kr.degraded.Load(),
 			Rounds:   kr.rounds.Load(),
 			SimSteps: kr.simSteps.Load(),
 			Latency:  kr.lat.Snapshot().Summary(),

@@ -236,13 +236,12 @@ func TestShutdownDrainsQueuedLookups(t *testing.T) {
 }
 
 // TestBudgetAbortDeliversTypedError serves with an absurdly small per-round
-// budget and the oracle fallback disabled: the round must fail and every
-// query of the batch must receive an error unwrapping to
+// budget: the round must fail and every query of the batch must receive an error unwrapping to
 // *mesh.BudgetExceededError — proving the run-control seam composes with
-// serving. (With the fallback enabled the same overrun is answered degraded;
-// see TestBudgetOverrunDegradesToOracle.)
+// serving. (Behind a fleet the same overrun is answered by the fleet's
+// oracle; see fleet's TestBudgetOverrunDegradesToOracle.)
 func TestBudgetAbortDeliversTypedError(t *testing.T) {
-	s := newTestServer(t, Config{Side: 8, Budget: 3, DisableDegrade: true})
+	s := newTestServer(t, Config{Side: 8, Budget: 3})
 	_, err := s.Lookup(context.Background(), 1)
 	if err == nil {
 		t.Fatal("lookup under a 3-step budget succeeded")
@@ -254,8 +253,9 @@ func TestBudgetAbortDeliversTypedError(t *testing.T) {
 	if st := s.Stats(); st.Failed == 0 {
 		t.Fatalf("stats recorded no failures: %+v", st)
 	}
-	// The server survives a failed round: later rounds still answer (the
-	// budget keeps failing them, but the loop must not wedge).
+	// The server survives a failed round: a later lookup still gets a
+	// response (the open circuit fails it fast, but the loop must not
+	// wedge).
 	if _, err := s.Lookup(context.Background(), 2); err == nil {
 		t.Fatal("second lookup under the budget succeeded")
 	}
