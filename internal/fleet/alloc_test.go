@@ -12,32 +12,36 @@ import (
 	"repro/internal/serve"
 )
 
-// hedgedAttemptAllocs is what one hedged dispatch allocates of its own
-// with a hedge delay in force and the hedge not firing: the attempt
-// channel and its buffer (2), the launch closure (1), the go statement's
-// argument closure (1), the hedge timer with its channel and buffer (3),
-// the primary attempt's cancel context and cancel func (2), and that
-// context's Done channel, made when the instance waits on it (1). Replica
-// picks, the ejection median and the instance lookup add nothing to it.
-const hedgedAttemptAllocs = 10
-
 // lookupAllocs is the allocations of one sequential lookup, measured with
-// one P as TestLookupAllocsPinned does.
-func lookupAllocs(t *testing.T, lookup func(context.Context, serve.Kind, serve.Args) error) float64 {
+// one P as TestLookupAllocsPinned does. Each lookup runs on a fresh context
+// from newCtx, cancelled after it; nil means context.Background.
+func lookupAllocs(t *testing.T, newCtx func() (context.Context, context.CancelFunc), lookup func(context.Context, serve.Kind, serve.Args) error) float64 {
 	t.Helper()
-	ctx := context.Background()
+	if newCtx == nil {
+		newCtx = func() (context.Context, context.CancelFunc) { return context.Background(), func() {} }
+	}
 	var key int64
 	run := func() {
 		key = (key + 1) % 40
+		ctx, cancel := newCtx()
+		defer cancel()
 		if err := lookup(ctx, serve.KindMembership, serve.Args{key}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 100; i++ {
-		run() // warm the arenas, the batch slices, the kept slots and pickers
+		run() // warm the arenas, the batch slices, the kept slots, pickers and timers
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	return testing.AllocsPerRun(100, run)
+}
+
+// fleetLookup is lookupAllocs' lookup through f.
+func fleetLookup(f *Fleet) func(context.Context, serve.Kind, serve.Args) error {
+	return func(ctx context.Context, k serve.Kind, a serve.Args) error {
+		_, err := f.LookupKind(ctx, k, a)
+		return err
+	}
 }
 
 // A one-replica fleet's lookup allocates nothing of its own: the replica
@@ -45,23 +49,22 @@ func lookupAllocs(t *testing.T, lookup func(context.Context, serve.Kind, serve.A
 // it allocates nothing either.
 func TestFleetLookupAllocsPinned(t *testing.T) {
 	f := newTestFleet(t, Config{Instance: serve.Config{Side: 8}})
-	inst := lookupAllocs(t, func(ctx context.Context, k serve.Kind, a serve.Args) error {
+	inst := lookupAllocs(t, nil, func(ctx context.Context, k serve.Kind, a serve.Args) error {
 		_, err := f.instance(0).LookupKind(ctx, k, a)
 		return err
 	})
-	fl := lookupAllocs(t, func(ctx context.Context, k serve.Kind, a serve.Args) error {
-		_, err := f.LookupKind(ctx, k, a)
-		return err
-	})
+	fl := lookupAllocs(t, nil, fleetLookup(f))
 	if inst != 0 || fl != inst {
 		t.Fatalf("instance lookup %.0f allocs, fleet lookup %.0f; want 0 and 0", inst, fl)
 	}
 }
 
-// With three replicas, hedging and ejection on, a lookup allocates only
-// the hedged dispatch's own objects: every answered dispatch still feeds
-// the ejection median, and with a hedge delay in force every dispatch
-// races, but neither the median nor the picks allocate.
+// With three replicas, hedging and ejection on, a lookup allocates nothing
+// of its own either: every answered dispatch still feeds the ejection
+// median, and with a hedge delay in force every dispatch waits on a kept
+// hedge timer, but neither the median, the picks nor the wait allocate.
+// Under a timed context, the shape open-loop clients drive, the lookup
+// adds nothing to what the context itself allocates.
 func TestFleetHedgedLookupAllocsPinned(t *testing.T) {
 	f := newTestFleet(t, Config{
 		Replicas: 3,
@@ -69,15 +72,23 @@ func TestFleetHedgedLookupAllocsPinned(t *testing.T) {
 		Hedge:    HedgeConfig{Enabled: true, Delay: time.Hour},
 		Eject:    EjectConfig{Enabled: true, MinSamples: 4},
 	})
-	got := lookupAllocs(t, func(ctx context.Context, k serve.Kind, a serve.Args) error {
-		_, err := f.LookupKind(ctx, k, a)
-		return err
-	})
+	if got := lookupAllocs(t, nil, fleetLookup(f)); got != 0 {
+		t.Fatalf("hedged fleet lookup: %.0f allocs, want 0", got)
+	}
 	if f.latencyMedian() <= 0 {
 		t.Fatal("no ejection median: the lookups never reached the median")
 	}
-	if got != hedgedAttemptAllocs {
-		t.Fatalf("hedged fleet lookup: %.0f allocs, want the hedged attempt's own %d", got, hedgedAttemptAllocs)
+	timed := func() (context.Context, context.CancelFunc) {
+		return context.WithTimeout(context.Background(), time.Hour)
+	}
+	ctxOnly := lookupAllocs(t, timed, func(ctx context.Context, _ serve.Kind, _ serve.Args) error {
+		_ = ctx.Done() // the channel a lookup's wait makes the context build
+		return nil
+	})
+	got := lookupAllocs(t, timed, fleetLookup(f))
+	t.Logf("timed context: %.0f allocs alone, %.0f with a hedged lookup", ctxOnly, got)
+	if got != ctxOnly {
+		t.Fatalf("hedged fleet lookup on a timed context: %.0f allocs, want the context's own %.0f", got, ctxOnly)
 	}
 }
 

@@ -171,8 +171,9 @@ type Fleet struct {
 	hedgeDelayNS   atomic.Int64 // cached derived hedge delay
 	hedgeDelayAt   atomic.Int64 // unix ns the cache was filled
 
-	pickers  freelist.List[*picker] // routing scratch for reuse (takePicker)
-	jsonBufs freelist.List[*[]byte] // /search response buffers (writeResult)
+	pickers  freelist.List[*picker]     // routing scratch for reuse (takePicker)
+	timers   freelist.List[*time.Timer] // hedge timers for reuse (dispatchHedged)
+	jsonBufs freelist.List[*[]byte]     // /search response buffers (writeResult)
 
 	probeWake   chan struct{}      // one pending early pass (wakeOnFault)
 	probeCancel context.CancelFunc // stops the prober
@@ -315,15 +316,6 @@ func (f *Fleet) replicaHealth(inst *serve.Instance) Health {
 	}
 }
 
-// views snapshots every replica for the routing policy.
-func (f *Fleet) views() []ReplicaView {
-	out := make([]ReplicaView, len(f.reps))
-	for i := range out {
-		out[i] = f.view(i)
-	}
-	return out
-}
-
 // view snapshots replica i for the routing policy.
 func (f *Fleet) view(i int) ReplicaView {
 	r := f.reps[i]
@@ -412,7 +404,8 @@ func (f *Fleet) LookupKind(ctx context.Context, kind serve.Kind, args serve.Args
 		// prediction is what makes this gray-failure-aware: a latency-
 		// injected replica honestly predicts long rounds, so tight-deadline
 		// lookups route past it while generous ones may still use it.
-		if hasDeadline && f.doomed(inst, kind, deadline) {
+		if hasDeadline && late(inst, kind, deadline) {
+			f.budgetShed.Add(1)
 			d.lastErr = serve.ErrBudgetExhausted
 			d.shed = true
 			continue
@@ -473,16 +466,13 @@ func (f *Fleet) beginTrace(ctx context.Context, d *dispatch) context.Context {
 	return obs.NewContext(ctx, d.tr)
 }
 
-// doomed reports whether inst's expected round time exceeds what is left
-// before deadline, counting the fleet-side shed when it does.
+// late reports whether inst's expected round time for the kind exceeds
+// what is left before deadline: a dispatch there would be doomed work.
 //
 //go:noinline
-func (f *Fleet) doomed(inst *serve.Instance, kind serve.Kind, deadline time.Time) bool {
-	if need := inst.ExpectedRoundTime(kind); need > 0 && time.Until(deadline) < need {
-		f.budgetShed.Add(1)
-		return true
-	}
-	return false
+func late(inst *serve.Instance, kind serve.Kind, deadline time.Time) bool {
+	need := inst.ExpectedRoundTime(kind)
+	return need > 0 && time.Until(deadline) < need
 }
 
 // contextErr reports whether err is a context's cancellation or deadline
@@ -710,7 +700,8 @@ const RestartBoundHint = time.Second
 func (f *Fleet) RetryAfterHint() time.Duration {
 	best, bestDegraded := time.Duration(-1), time.Duration(-1)
 	anyEjected := false
-	for i, v := range f.views() {
+	for i := range f.reps {
+		v := f.view(i)
 		if !v.Up || v.Health == LameDuck {
 			continue
 		}

@@ -3,6 +3,10 @@ package fleet
 import (
 	"context"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -197,8 +201,7 @@ func TestHealthWeightedRoutesAroundDegradedReplica(t *testing.T) {
 		} else {
 			checkAnswer(t, f, 3, res)
 		}
-		views := f.views()
-		if views[0].Up && views[0].Health == Degraded {
+		if v := f.view(0); v.Up && v.Health == Degraded {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -297,6 +300,44 @@ func TestBudgetOverrunDegradesToOracle(t *testing.T) {
 	}
 	if st.Agg.FaultsBudget == 0 || st.Agg.CircuitOpens != 1 {
 		t.Fatalf("breaker accounting wrong: %+v", st.Agg)
+	}
+}
+
+// TestOnlyMeshRoundsCount pins what a serving round is: a batch that
+// reached the mesh. Under a step budget no round can meet, the first
+// lookup's round runs, faults and opens the circuit, and the next two
+// lookups fail fast on the open circuit without a round. The instance's
+// round counters and the Prometheus rounds series must each read 1.
+func TestOnlyMeshRoundsCount(t *testing.T) {
+	f := newTestFleet(t, Config{Replicas: 1, Instance: serve.Config{Side: 8, Budget: 3}})
+	for _, needle := range []int64{3, 4, 5} {
+		res, err := f.Lookup(context.Background(), needle)
+		if err != nil {
+			t.Fatalf("lookup %d: %v", needle, err)
+		}
+		checkAnswer(t, f, needle, res)
+	}
+	st := f.Stats()
+	if st.Agg.Failed != 3 || st.Agg.CircuitOpens != 1 || st.OracleServed != 3 {
+		t.Fatalf("want one faulted round and two fast fails, all answered by the oracle: %+v", st)
+	}
+	if st.Agg.Rounds != 1 || st.Agg.LastBatch != 1 || st.Agg.PeakBatch != 1 {
+		t.Fatalf("rounds %d, last batch %d, peak batch %d; want 1, 1, 1 for the one batch that reached the mesh",
+			st.Agg.Rounds, st.Agg.LastBatch, st.Agg.PeakBatch)
+	}
+	if k := f.instance(0).Stats().Kinds[0]; k.Rounds != 1 {
+		t.Fatalf("%s rounds %d, want 1", k.Kind, k.Rounds)
+	}
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := `meshserve_rounds_total{kind="mesh"} 1` + "\n"; !strings.Contains(string(body), want) {
+		t.Fatalf("exposition lacks %q", want)
 	}
 }
 

@@ -11,7 +11,8 @@ package fleet
 //	         the hedge delay (a multiple of the recent per-replica p99
 //	         median), the same lookup is speculatively re-dispatched to the
 //	         next-preferred replica; the first answer wins and the loser is
-//	         cancelled.
+//	         abandoned. The dispatch waits for both in one select on the
+//	         caller's goroutine.
 //	eject  — per-replica: every answered dispatch feeds an EWMA latency
 //	         score; a replica whose score exceeds a configurable multiple
 //	         of the fleet median is ejected — a fourth health state beside
@@ -19,8 +20,8 @@ package fleet
 //	         fleet prober's latency probes measure it back within bounds.
 //
 // Hedging hides the slow replica from this request; ejection hides it from
-// all subsequent ones. The censored-sample rule ties them together: a
-// cancelled hedge loser ran *at least* its elapsed time, and that lower
+// all subsequent ones. The censored-sample rule ties them together: an
+// abandoned hedge loser ran *at least* its elapsed time, and that lower
 // bound feeds the score, so a replica that is always hedged around still
 // accumulates the slow samples that get it ejected.
 
@@ -241,8 +242,8 @@ func (f *Fleet) hedgeDelay() time.Duration {
 
 // recomputeHedgeDelay is hedgeDelay's percentile scan, stored in the cache
 // at now. It is kept out of line: the histogram snapshot it takes is a
-// 7.5 KiB stack array once inlined, and every hedged dispatch goroutine
-// would grow its stack for it even on the cached path.
+// 7.5 KiB stack array once inlined, and every lookup's goroutine would grow
+// its stack for it even on the cached path.
 //
 //go:noinline
 func (f *Fleet) recomputeHedgeDelay(now int64) time.Duration {
@@ -326,117 +327,123 @@ func (f *Fleet) pick(tried uint64) int {
 	return f.policy.Pick(p.views, p.skip)
 }
 
+// pending is one attempt of a dispatch: the lookup admitted to replica
+// idx. The zero pending is no attempt.
+type pending struct {
+	t   serve.Ticket
+	idx int
+}
+
 // dispatchHedged runs one dispatch of the failover ladder against replica
 // primary, speculatively adding a second replica if the first has not
 // answered within the hedge delay. It stores the winning answer and the
 // replica that produced it in out, and reports whether a hedge (not the
 // primary) won.
 //
-// Trace safety: the fleet trace on ctx is single-owner, and two racing
-// attempts would both write stage marks into it — so every hedged attempt
-// runs on a detached context (obs.DetachContext) where the instance begins
-// and finishes its own child trace under the same propagated TraceID; the
-// fleet goroutine alone touches the fleet trace. With hedging off (or no
-// delay derivable yet) the dispatch is the plain single-attempt call on the
-// undetached ctx, exactly as before this mechanism existed.
+// The dispatch is one select on the caller's goroutine, over the attempts'
+// response slots and the client's ctx. While a hedge delay is in force it
+// also waits on a kept timer, and every attempt runs on a detached context
+// (obs.DetachContext) and begins its own trace: each instance's pipeline
+// owns the trace it carries, so two attempts must not share the fleet's.
 func (f *Fleet) dispatchHedged(ctx context.Context, out *Result, kind serve.Kind, args serve.Args, primary int, inst *serve.Instance, tried *uint64) (hedgeWon bool, err error) {
+	var delay time.Duration
 	if f.cfg.Hedge.Enabled {
-		if delay := f.hedgeDelay(); delay > 0 {
-			return f.dispatchRace(ctx, out, kind, args, primary, inst, tried, delay)
-		}
+		delay = f.hedgeDelay()
 	}
-	start := time.Now()
-	out.Result, err = inst.LookupKind(ctx, kind, args)
-	if err == nil {
-		out.Replica = primary
-		f.noteLatency(primary, time.Since(start))
+	armed, actx := delay > 0, ctx
+	if armed {
+		actx = obs.DetachContext(ctx)
 	}
-	f.wakeOnFault(err)
-	return false, err
-}
-
-// dispatchRace is dispatchHedged with a hedge delay: the primary attempt
-// runs on its own goroutine, and a second replica joins it if the primary
-// has not answered within delay. It is kept out of line, so the unhedged
-// dispatch's frame stays small.
-//
-//go:noinline
-func (f *Fleet) dispatchRace(ctx context.Context, out *Result, kind serve.Kind, args serve.Args, primary int, inst *serve.Instance, tried *uint64, delay time.Duration) (bool, error) {
-	type attempt struct {
-		res serve.Result
-		err error
-		idx int
-	}
-	actx := obs.DetachContext(ctx)
-	ch := make(chan attempt, 2) // buffered: a cancelled loser must not leak
-	launch := func(idx int, in *serve.Instance, c context.Context) {
-		start := time.Now()
-		res, err := in.LookupKind(c, kind, args)
-		d := time.Since(start)
-		if err == nil || contextErr(err) {
-			// A win trains the score; a cancelled loser ran *at least* d —
-			// the censored sample that lets a hedged-around replica still
-			// accumulate the slow evidence that ejects it.
-			f.noteLatency(idx, d)
-		}
+	var at [2]pending // the primary and, once it is out, the hedge
+	at[0].idx = primary
+	if at[0].t, err = inst.Submit(actx, kind, args); err != nil {
 		f.wakeOnFault(err)
-		ch <- attempt{res: res, err: err, idx: idx}
+		return false, err
 	}
-
-	pctx, pcancel := context.WithCancel(actx)
-	defer pcancel()
-	go launch(primary, inst, pctx)
-	inflight := 1
-
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	hedged := false
-	var hcancel context.CancelFunc
-	var lastErr error
-	for inflight > 0 {
+	var fire <-chan time.Time
+	if armed {
+		timer, ok := f.timers.Get()
+		if ok {
+			timer.Reset(delay)
+		} else {
+			timer = time.NewTimer(delay)
+		}
+		fire = timer.C
+		defer func() {
+			// Kept stopped, and drained if it fired unseen, so that the
+			// next Reset sees no stale tick.
+			if !timer.Stop() && fire != nil {
+				<-timer.C
+			}
+			f.timers.Put(timer)
+		}()
+	}
+	for {
+		i := 0
+		var r serve.Response
 		select {
-		case <-timer.C:
-			if hedged {
+		case r = <-at[0].t.Ready():
+		case r = <-at[1].t.Ready():
+			i = 1
+		case <-fire:
+			fire = nil // one hedge per dispatch
+			// It goes to the policy's next-preferred replica that is not
+			// ejected and can still make the deadline.
+			idx := f.pickStrict(*tried)
+			if idx < 0 {
 				continue
 			}
-			hedged = true // one hedge per dispatch
-			hidx := f.pickStrict(*tried)
-			if hidx < 0 {
-				continue
-			}
-			hinst := f.instance(hidx)
+			hinst := f.instance(idx)
 			if hinst == nil {
 				continue
 			}
-			if dl, ok := ctx.Deadline(); ok {
-				if need := hinst.ExpectedRoundTime(kind); need > 0 && time.Until(dl) < need {
-					continue // the hedge itself would be doomed work
-				}
+			if dl, ok := ctx.Deadline(); ok && late(hinst, kind, dl) {
+				continue
 			}
-			*tried |= 1 << uint(hidx)
+			*tried |= 1 << uint(idx)
 			f.hedges.Add(1)
-			hctx, cancel := context.WithCancel(actx)
-			defer cancel() // also fired early via hcancel when the primary wins
-			hcancel = cancel
-			go launch(hidx, hinst, hctx)
-			inflight++
-		case a := <-ch:
-			inflight--
-			if a.err == nil {
-				// First answer wins; cancel the other attempt.
-				pcancel()
-				if hcancel != nil {
-					hcancel()
-				}
-				win := hedged && a.idx != primary
-				if win {
-					f.hedgeWins.Add(1)
-				}
-				*out = Result{Result: a.res, Replica: a.idx}
-				return win, nil
-			}
-			lastErr = a.err
+			at[1].idx = idx
+			at[1].t, err = hinst.Submit(actx, kind, args)
+			f.wakeOnFault(err)
+			continue
+		case <-ctx.Done():
+			// The client is gone. A hedge-armed attempt ran at least this
+			// long: the censored sample the ejection score needs.
+			f.drop(&at[0], armed)
+			f.drop(&at[1], armed)
+			return false, ctx.Err()
 		}
+		a := &at[i]
+		var res serve.Result
+		if res, err = a.t.Collect(r); err != nil {
+			f.wakeOnFault(err)
+			*a = pending{}
+			if at[1-i].t.Ready() != nil {
+				continue // the other attempt may still answer
+			}
+			return false, err
+		}
+		// The first answer wins, and the other attempt is dropped.
+		f.noteLatency(a.idx, a.t.Elapsed())
+		f.drop(&at[1-i], true)
+		if hedgeWon = i == 1; hedgeWon {
+			f.hedgeWins.Add(1)
+		}
+		out.Result, out.Replica = res, a.idx
+		return hedgeWon, nil
 	}
-	return false, lastErr
+}
+
+// drop abandons attempt a if it is live. With censor set, the time a ran
+// feeds the replica's score: a dropped attempt ran *at least* that long —
+// the censored sample that lets a hedged-around replica still accumulate
+// the slow evidence that ejects it.
+func (f *Fleet) drop(a *pending, censor bool) {
+	if a.t.Ready() == nil {
+		return
+	}
+	a.t.Abandon()
+	if censor {
+		f.noteLatency(a.idx, a.t.Elapsed())
+	}
 }

@@ -366,7 +366,8 @@ func (f *Fleet) promMetrics(w http.ResponseWriter) {
 
 	pw.Gauge("meshfleet_replicas", "Configured replica count.", float64(st.Replicas))
 	pw.Gauge("meshfleet_last_time_to_healthy_seconds", "Most recent crash-to-healthy duration.", float64(st.LastTimeToHealthy)/1e9)
-	for _, rv := range f.views() {
+	for i := range f.reps {
+		rv := f.view(i)
 		idx := strconv.Itoa(rv.Index)
 		pw.Gauge("meshfleet_replica_up", "1 while the replica is routable.", boolGauge(rv.Up), "replica", idx)
 		health := "down"

@@ -274,13 +274,13 @@ func TestHealthMachineMatchesModel(t *testing.T) {
 			if m.ambiguous {
 				fail("a decision fell within 2s of its threshold; the model cannot tell it apart from probe latency")
 			}
-			st, views := f.Stats(), f.views()
+			st := f.Stats()
 			healthz := 503
 			for j := range m.up {
 				if got := st.PerReplica[j].Health; got != m.health(j) {
 					fail("replica %d health %q, model %q", j, got, m.health(j))
 				}
-				if got := routable(views[j], noSkip); got != m.routable(j) {
+				if got := routable(f.view(j), noSkip); got != m.routable(j) {
 					fail("replica %d routable %v, model %v", j, got, m.routable(j))
 				}
 				if m.health(j) == "healthy" {

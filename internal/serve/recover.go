@@ -23,14 +23,10 @@ import (
 // auditing forced on under jittered backoff, and fail the batch with the
 // last fault when the mesh keeps failing. The instance never answers from
 // the host oracle: the fleet fails the lookup over, and only then answers
-// from its own oracle rung.
+// from its own oracle rung. A batch counts as a serving round only once it
+// reaches the mesh: one failed fast or shed before its first attempt does
+// not.
 func (s *Instance) serveBatch(kr *kindRuntime, batch []request) {
-	round := s.rounds.Add(1)
-	kr.rounds.Add(1)
-	s.lastBatch.Store(int64(len(batch)))
-	if int64(len(batch)) > s.peakBatch.Load() {
-		s.peakBatch.Store(int64(len(batch)))
-	}
 	// One clock read closes the linger span of the whole batch: dequeue →
 	// round start, including the wait in the one-slot pipeline channel.
 	s.markBatch(batch, obs.StageLinger)
@@ -47,6 +43,7 @@ func (s *Instance) serveBatch(kr *kindRuntime, batch []request) {
 		kr.args = append(kr.args, r.args)
 	}
 	kr.queries = kr.st.AppendQueries(kr.queries[:0], kr.args)
+	var round int64
 	var lastErr error
 	for attempt := 0; attempt <= s.maxRetries; attempt++ {
 		if attempt > 0 {
@@ -75,6 +72,8 @@ func (s *Instance) serveBatch(kr *kindRuntime, batch []request) {
 		tag := ""
 		if attempt > 0 {
 			tag = fmt.Sprintf("retry %d audited", attempt)
+		} else {
+			round = s.countRound(kr, len(batch))
 		}
 		results, h, err := s.meshRound(kr, roundName{kr.kind, round, attempt}, tag, kr.queries)
 		// Each attempt — failed ones included — closes its own mesh-round
@@ -94,10 +93,10 @@ func (s *Instance) serveBatch(kr *kindRuntime, batch []request) {
 				ans := kr.st.Extract(results, i)
 				if r.tr != nil {
 					// Cross-link before the resp send: delivery hands the
-					// trace back to the Lookup goroutine.
+					// trace back to the ticket's holder.
 					r.tr.LinkRun(seq, label)
 				}
-				r.resp <- response{res: Result{
+				r.resp <- Response{res: Result{
 					Kind:    kr.kind,
 					Needle:  r.args[0],
 					Found:   ans.Found,
@@ -125,6 +124,17 @@ func (s *Instance) serveBatch(kr *kindRuntime, batch []request) {
 	s.failBatch(batch, lastErr)
 }
 
+// countRound counts one serving round of the kind, a batch of n that
+// reached the mesh, and returns its number.
+func (s *Instance) countRound(kr *kindRuntime, n int) int64 {
+	kr.rounds.Add(1)
+	s.lastBatch.Store(int64(n))
+	if int64(n) > s.peakBatch.Load() {
+		s.peakBatch.Store(int64(n))
+	}
+	return s.rounds.Add(1)
+}
+
 // batchDoomed reports whether every request of the batch carries a deadline
 // that cannot survive one more round of the given expected duration: the
 // shed condition of the retry-ladder budget rung. A single request without a
@@ -144,7 +154,7 @@ func batchDoomed(batch []request, need time.Duration) bool {
 func (s *Instance) failBatch(batch []request, err error) {
 	s.failed.Add(int64(len(batch)))
 	for _, r := range batch {
-		r.resp <- response{err: err}
+		r.resp <- Response{err: err}
 	}
 }
 

@@ -196,7 +196,7 @@ type Stats struct {
 	Rejected   int64 `json:"rejected"`    // lookups refused with ErrOverloaded
 	Served     int64 `json:"served"`      // lookups answered successfully
 	Failed     int64 `json:"failed"`      // lookups answered with a round error
-	Rounds     int64 `json:"rounds"`      // serving rounds (batches) processed
+	Rounds     int64 `json:"rounds"`      // serving rounds: batches that reached the mesh
 	SimSteps   int64 `json:"sim_steps"`   // simulated mesh steps across all rounds
 	LastBatch  int64 `json:"last_batch"`  // size of the most recent batch
 	PeakBatch  int64 `json:"peak_batch"`  // largest batch so far
@@ -237,21 +237,16 @@ type Stats struct {
 
 type request struct {
 	args Args
-	resp chan response
+	resp chan Response
 	// deadline is the client context's deadline (zero when it has none). It
 	// rides the request through the pipeline so the collector can cut linger
 	// short and the retry ladder can shed a batch no deadline can survive.
 	deadline time.Time
 	// tr is the request's wall-clock trace (nil when observability is off).
 	// Ownership moves with the request along the pipeline's channel handoffs
-	// — Lookup → queue → collector → batches → executor → resp → Lookup —
-	// so stage marks need no locks.
+	// — Submit → queue → collector → batches → executor → resp → the
+	// ticket's holder — so stage marks need no locks.
 	tr *obs.ReqTrace
-}
-
-type response struct {
-	res Result
-	err error
 }
 
 // kindRuntime is one enabled kind's serving state: its structure, its
@@ -335,7 +330,7 @@ type Instance struct {
 
 	// slots keeps the response channels of answered lookups for reuse
 	// (takeSlot). An abandoned lookup never puts its slot back.
-	slots freelist.List[chan response]
+	slots freelist.List[chan Response]
 
 	retries, recovered           atomic.Int64
 	circuitOpens, circuitCloses  atomic.Int64
@@ -642,25 +637,66 @@ func (s *Instance) Lookup(ctx context.Context, needle int64) (Result, error) {
 // LookupKind submits one query of the given kind and blocks until its round
 // completes, ctx is done, or the server refuses it (ErrOverloaded when the
 // kind's admission queue is full, ErrClosed after Shutdown,
-// ErrKindNotServed for a kind this instance does not serve).
+// ErrKindNotServed for a kind this instance does not serve). It is Submit
+// and one wait on the ticket's slot and ctx.
 //
 // In steady state with observability off a lookup allocates nothing: its
 // response slot comes from the instance's kept slots, and the rare paths
 // (shed, refusal, tracing) run out of line, so the frame stays small enough
 // for a fresh goroutine's stack.
 func (s *Instance) LookupKind(ctx context.Context, kind Kind, args Args) (Result, error) {
+	t, err := s.Submit(ctx, kind, args)
+	if err != nil {
+		return Result{}, err
+	}
+	select {
+	case r := <-t.Ready():
+		return t.Collect(r)
+	case <-ctx.Done():
+		t.Abandon()
+		return Result{}, ctx.Err()
+	}
+}
+
+// Ticket is one admitted lookup awaiting its round. Its holder receives
+// the response from Ready and passes it to Collect, or gives up with
+// Abandon; exactly one of the two, once. The zero Ticket's Ready is nil,
+// so a select never picks it.
+type Ticket struct {
+	s       *Instance
+	kr      *kindRuntime
+	resp    chan Response
+	tr      *obs.ReqTrace
+	created bool // the lookup began tr, so Collect or Abandon ends it
+	start   time.Time
+}
+
+// Response is a submitted lookup's answer or round fault, as its ticket's
+// slot delivers it.
+type Response struct {
+	res Result
+	err error
+}
+
+// Submit admits one query of the given kind without waiting for its round:
+// everything LookupKind does before it blocks. ctx supplies the deadline the
+// budget rungs check and the trace the lookup marks; Submit keeps neither,
+// so the caller alone decides when to stop waiting. It fails as LookupKind
+// does with ErrKindNotServed, ErrBudgetExhausted, ErrClosed, ErrOverloaded
+// or ctx's error, and then there is nothing to collect.
+func (s *Instance) Submit(ctx context.Context, kind Kind, args Args) (Ticket, error) {
 	start := time.Now()
 	if kind >= NumKinds || s.kr[kind] == nil {
-		return Result{}, ErrKindNotServed
+		return Ticket{}, ErrKindNotServed
 	}
 	kr := s.kr[kind]
 	deadline, err := s.admitDeadline(ctx, kind, args, start)
 	if err != nil {
-		return Result{}, err
+		return Ticket{}, err
 	}
 	// Observability (nil s.obs skips everything, even the ctx lookups): the
 	// trace either arrives on ctx — the fleet began it and will finish it —
-	// or is begun here, in which case this call finishes it ("creator
+	// or is begun here, in which case the ticket finishes it ("creator
 	// finalizes": exactly one goroutine may seal a trace).
 	var tr *obs.ReqTrace
 	created := false
@@ -672,7 +708,7 @@ func (s *Instance) LookupKind(ctx context.Context, kind Kind, args Args) (Result
 	if s.closed {
 		s.mu.RUnlock()
 		s.slots.Put(resp)
-		return Result{}, s.refuse(tr, created, obs.OutcomeClosed, ErrClosed)
+		return Ticket{}, s.refuse(tr, created, obs.OutcomeClosed, ErrClosed)
 	}
 	// The admit mark must land before the queue send: once the request is
 	// enqueued the collector owns the trace, and a mark from this goroutine
@@ -690,34 +726,46 @@ func (s *Instance) LookupKind(ctx context.Context, kind Kind, args Args) (Result
 		s.mu.RUnlock()
 		s.slots.Put(resp)
 		s.rejected.Add(1)
-		return Result{}, s.refuse(tr, created, obs.OutcomeRejected, ErrOverloaded)
+		return Ticket{}, s.refuse(tr, created, obs.OutcomeRejected, ErrOverloaded)
 	}
-	select {
-	case r := <-resp:
-		// The round sent its one response: the slot is empty again.
-		s.slots.Put(resp)
-		s.answered(kr, tr, created, &r, start)
-		return r.res, r.err
-	case <-ctx.Done():
-		// The round still answers into the abandoned slot, which is never
-		// put back — no later lookup can receive this response — and is
-		// garbage-collected with it. The trace stays with the request — the
-		// executor may still be marking stages into it — so it is counted
-		// abandoned, never finished or retained.
-		if created {
-			s.obs.Abandon(tr)
-		}
-		return Result{}, ctx.Err()
+	return Ticket{s: s, kr: kr, resp: resp, tr: tr, created: created, start: start}, nil
+}
+
+// Ready is the ticket's response slot: it delivers one Response, the
+// lookup's answer or round fault.
+func (t *Ticket) Ready() <-chan Response { return t.resp }
+
+// Collect ends the lookup with the response received from Ready: it puts
+// the slot back, records the latency and, if the lookup began its trace,
+// finishes it.
+func (t *Ticket) Collect(r Response) (Result, error) {
+	// The round sent its one response: the slot is empty again.
+	t.s.slots.Put(t.resp)
+	t.s.answered(t.kr, t.tr, t.created, &r, t.start)
+	return r.res, r.err
+}
+
+// Elapsed is the time since Submit began admitting the lookup.
+func (t *Ticket) Elapsed() time.Duration { return time.Since(t.start) }
+
+// Abandon ends the lookup without its response. The round still answers
+// into the abandoned slot, which is never put back — no later lookup can
+// receive this response — and is garbage-collected with it. The trace stays
+// with the request — the executor may still be marking stages into it — so
+// it is counted abandoned, never finished or retained.
+func (t *Ticket) Abandon() {
+	if t.created {
+		t.s.obs.Abandon(t.tr)
 	}
 }
 
 // takeSlot returns an empty response slot: a kept one, or a new one. A slot
 // holds one response, so a round's send never blocks the executor.
-func (s *Instance) takeSlot() chan response {
+func (s *Instance) takeSlot() chan Response {
 	if c, ok := s.slots.Get(); ok {
 		return c
 	}
-	return make(chan response, 1)
+	return make(chan Response, 1)
 }
 
 // admitDeadline is the deadline-budget admission rung (DESIGN.md §3.11).
@@ -779,7 +827,7 @@ func (s *Instance) refuse(tr *obs.ReqTrace, created bool, oc obs.Outcome, err er
 // never reach a round, so they do not pollute the serving histogram.
 //
 //go:noinline
-func (s *Instance) answered(kr *kindRuntime, tr *obs.ReqTrace, created bool, r *response, start time.Time) {
+func (s *Instance) answered(kr *kindRuntime, tr *obs.ReqTrace, created bool, r *Response, start time.Time) {
 	e2e := time.Since(start)
 	s.lat.Observe(e2e)
 	kr.lat.Observe(e2e)
