@@ -21,7 +21,7 @@ import (
 //
 // The slowdown is gap-proportional: each consultation charges
 // (factor-1) × the wall-clock gap since the previous consultation (capped
-// by MaxGap so idle time between rounds is not amplified), which makes the
+// at maxGap so idle time between rounds is not amplified), which makes the
 // replica's mesh work run at ~factor× wall-clock cost regardless of batch
 // size or kind mix. Three degradation shapes compose from the config:
 //
@@ -71,11 +71,12 @@ type LatencyConfig struct {
 	StallEvery time.Duration
 	// StallFor is each stall's duration (default 50ms when stalls are on).
 	StallFor time.Duration
-	// MaxGap caps the inter-consultation gap charged by the proportional
-	// slowdown (default 1ms), so idle spells between rounds are not
-	// amplified into huge sleeps on the next round's first operation.
-	MaxGap time.Duration
 }
+
+// maxGap caps the inter-consultation gap charged by the proportional
+// slowdown, so idle spells between rounds are not amplified into huge
+// sleeps on the next round's first operation.
+const maxGap = time.Millisecond
 
 var _ mesh.Injector = (*Latency)(nil)
 
@@ -84,9 +85,6 @@ var _ mesh.Injector = (*Latency)(nil)
 func NewLatency(cfg LatencyConfig, inner mesh.Injector) *Latency {
 	if cfg.StallEvery > 0 && cfg.StallFor <= 0 {
 		cfg.StallFor = 50 * time.Millisecond
-	}
-	if cfg.MaxGap <= 0 {
-		cfg.MaxGap = time.Millisecond
 	}
 	return &Latency{cfg: cfg, inner: inner, factor: cfg.Factor}
 }
@@ -148,8 +146,8 @@ func (l *Latency) pause() {
 	l.last = now
 	if gap < 0 {
 		gap = 0
-	} else if gap > l.cfg.MaxGap {
-		gap = l.cfg.MaxGap
+	} else if gap > maxGap {
+		gap = maxGap
 	}
 	since := now.Sub(l.armed) - l.cfg.After // time past onset; negative = not yet
 	var d time.Duration

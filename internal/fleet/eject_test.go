@@ -17,7 +17,6 @@ import (
 func inertEject(minSamples int64) EjectConfig {
 	return EjectConfig{
 		Enabled:    true,
-		Multiple:   4,
 		MinSamples: minSamples,
 	}
 }

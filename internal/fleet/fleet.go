@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,12 +72,10 @@ type Config struct {
 	// Instance is the per-instance serve.Config template. Tracer and
 	// Injector are per-instance concerns — see MakeTracer / MakeInjector.
 	Instance serve.Config
-	// Policy picks the replica for each lookup (default round-robin).
+	// Policy picks the replica for each lookup (default round-robin). A
+	// lookup whose pick fails is re-dispatched until every replica has been
+	// tried once.
 	Policy Policy
-	// MaxFailovers caps re-dispatches per lookup after the first pick fails
-	// (0 defaults to Replicas-1 — try every replica once; negative means
-	// no failover, straight to the oracle rung).
-	MaxFailovers int
 	// DisableOracle removes the fleet-level oracle rung: a lookup that
 	// exhausts failover returns its typed fault (tests and diagnostics).
 	DisableOracle bool
@@ -146,13 +145,12 @@ type replica struct {
 
 // Fleet is N serve instances behind a router. Safe for concurrent use.
 type Fleet struct {
-	cfg          Config
-	policy       Policy
-	maxFailovers int
-	ss           *serve.StructureSet // fleet-level oracle structures, one per kind
-	bt           *dict.BTree         // the membership structure's tree (Tree accessor)
-	reps         []*replica
-	closed       atomic.Bool // set once by Shutdown
+	cfg    Config
+	policy Policy
+	ss     *serve.StructureSet // fleet-level oracle structures, one per kind
+	bt     *dict.BTree         // the membership structure's tree (Tree accessor)
+	reps   []*replica
+	closed atomic.Bool // set once by Shutdown
 
 	dispatched     atomic.Int64
 	failovers      atomic.Int64 // re-dispatch attempts after a failed pick
@@ -200,20 +198,18 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Replicas > MaxReplicas {
 		return nil, &ReplicaLimitError{Replicas: cfg.Replicas}
 	}
-	cfg.Hedge.setDefaults()
-	cfg.Eject.setDefaults()
+	if cfg.Hedge.MinSamples <= 0 {
+		cfg.Hedge.MinSamples = 16
+	}
+	if cfg.Eject.MinSamples <= 0 {
+		cfg.Eject.MinSamples = 16
+	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
 	}
 	f := &Fleet{cfg: cfg, policy: cfg.Policy, obs: cfg.Obs}
 	if f.policy == nil {
 		f.policy = RoundRobin()
-	}
-	f.maxFailovers = cfg.MaxFailovers
-	if f.maxFailovers == 0 {
-		f.maxFailovers = cfg.Replicas - 1
-	} else if f.maxFailovers < 0 {
-		f.maxFailovers = 0
 	}
 	f.reps = make([]*replica, cfg.Replicas)
 	for i := range f.reps {
@@ -375,7 +371,7 @@ func (f *Fleet) LookupKind(ctx context.Context, kind serve.Kind, args serve.Args
 	var tried uint64
 	var res Result
 	deadline, hasDeadline := ctx.Deadline()
-	for d.attempts <= f.maxFailovers {
+	for d.attempts < len(f.reps) {
 		idx := f.pick(tried)
 		if idx < 0 {
 			break
@@ -771,8 +767,9 @@ func addStats(mu *sync.RWMutex, dst *serve.Stats, src serve.Stats) {
 	sumStats(dst, src)
 }
 
-// sumStats adds src's counters into dst (latency summaries do not sum;
-// fleet-level latency comes from the fleet's own histogram).
+// sumStats adds src's counters into dst, per-kind rows included. Serving
+// latency is not summed here: the fleet's own histograms time dispatch, and
+// promMetrics merges the replicas' serving histograms bucket by bucket.
 func sumStats(dst *serve.Stats, src serve.Stats) {
 	dst.Accepted += src.Accepted
 	dst.Rejected += src.Rejected
@@ -797,6 +794,17 @@ func sumStats(dst *serve.Stats, src serve.Stats) {
 	dst.FaultsCanceled += src.FaultsCanceled
 	dst.FaultsPanic += src.FaultsPanic
 	dst.FaultsOther += src.FaultsOther
+	// Every replica is built from one template, so every incarnation lists
+	// the same kinds in the same order: rows add up by position.
+	for i, k := range src.Kinds {
+		if i == len(dst.Kinds) {
+			dst.Kinds = append(dst.Kinds, serve.KindStats{Kind: k.Kind})
+		}
+		d := &dst.Kinds[i]
+		d.Served += k.Served
+		d.Rounds += k.Rounds
+		d.SimSteps += k.SimSteps
+	}
 }
 
 // ReplicaStats is one replica's row in the fleet snapshot.
@@ -905,6 +913,9 @@ func (f *Fleet) Stats() Stats {
 		r.mu.RLock()
 		inst, down := r.inst, r.down
 		row := ReplicaStats{Index: r.idx, Crashes: r.crashes, TimeToHealthy: r.lastTTH, Serve: r.lost}
+		// The live rows add into a copy: r.lost's own rows change only
+		// under the write lock (addStats).
+		row.Serve.Kinds = slices.Clone(r.lost.Kinds)
 		r.mu.RUnlock()
 		if down || inst == nil {
 			row.State = "down"
@@ -937,7 +948,6 @@ func (f *Fleet) Stats() Stats {
 		st.PerReplica = append(st.PerReplica, row)
 	}
 	st.Agg.Health = st.Health
-	st.Agg.Latency = st.Latency
 	for _, k := range f.ss.Kinds() {
 		st.ByKind = append(st.ByKind, KindRouting{
 			Kind:         k.String(),

@@ -138,7 +138,7 @@ func TestFailoverServesFromHealthyReplica(t *testing.T) {
 		Policy:   LeastLoaded(), // ties break to replica 0, the broken one
 		Instance: serve.Config{
 			Side: 8, Audit: true, MaxRetries: -1,
-			Linger: 100 * time.Microsecond, RetryBackoff: 10 * time.Microsecond,
+			Linger: 100 * time.Microsecond,
 		},
 		MakeInjector: func(i int) mesh.Injector {
 			if i == 0 {
@@ -180,7 +180,7 @@ func TestHealthWeightedRoutesAroundDegradedReplica(t *testing.T) {
 		Policy:   HealthWeighted(),
 		Instance: serve.Config{
 			Side: 8, Audit: true, MaxRetries: -1,
-			Linger: 100 * time.Microsecond, RetryBackoff: 10 * time.Microsecond,
+			Linger: 100 * time.Microsecond,
 		},
 		// Every canary of the broken replica fails; the parked tick keeps
 		// the test from spending its time on them.

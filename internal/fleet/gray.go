@@ -8,14 +8,14 @@ package fleet
 // ladder never notice; these two mechanisms do:
 //
 //	hedge  — per-dispatch: when the picked replica has not answered within
-//	         the hedge delay (a multiple of the recent per-replica p99
+//	         the hedge delay (hedgeP99Multiple × the recent per-replica p99
 //	         median), the same lookup is speculatively re-dispatched to the
 //	         next-preferred replica; the first answer wins and the loser is
 //	         abandoned. The dispatch waits for both in one select on the
 //	         caller's goroutine.
 //	eject  — per-replica: every answered dispatch feeds an EWMA latency
-//	         score; a replica whose score exceeds a configurable multiple
-//	         of the fleet median is ejected — a fourth health state beside
+//	         score; a replica whose score reaches ejectMultiple × the
+//	         fleet median is ejected — a fourth health state beside
 //	         healthy/degraded/lame-duck — and re-admitted only when the
 //	         fleet prober's latency probes measure it back within bounds.
 //
@@ -36,18 +36,33 @@ import (
 	"repro/internal/serve"
 )
 
+// The gray-failure policy's fixed settings: the adaptive hedge delay and
+// the ejection thresholds.
+const (
+	// hedgeP99Multiple scales the adaptive hedge delay: this many times the
+	// median of the per-replica dispatch p99s.
+	hedgeP99Multiple = 3
+	// hedgeMinDelay floors the adaptive hedge delay, so that a fast fleet
+	// does not hedge every lookup on scheduler noise.
+	hedgeMinDelay = time.Millisecond
+	// ejectMultiple ejects a replica whose EWMA latency score reaches this
+	// many times the fleet median.
+	ejectMultiple = 4
+	// readmitMultiple readmits an ejected replica once probes pull its
+	// score to at most this many times the median. It must stay below
+	// ejectMultiple: a replica readmitted at a score that ejects it again
+	// flaps between the two states on every sample.
+	readmitMultiple = 1.5
+)
+
 // HedgeConfig configures speculative re-dispatch of slow lookups.
 type HedgeConfig struct {
 	// Enabled turns hedging on (default off: hedges cost duplicate work).
 	Enabled bool
 	// Delay is a fixed hedge delay. Zero derives the delay adaptively:
-	// P99Multiple times the median of the per-replica dispatch p99s.
+	// hedgeP99Multiple times the median of the per-replica dispatch p99s,
+	// and at least hedgeMinDelay.
 	Delay time.Duration
-	// P99Multiple scales the derived delay (default 3). Ignored with Delay.
-	P99Multiple float64
-	// MinDelay floors the derived delay (default 1ms) so a fast fleet does
-	// not hedge every lookup on scheduler noise. Ignored with Delay.
-	MinDelay time.Duration
 	// MinSamples is how many answered dispatches a replica needs before its
 	// p99 joins the delay derivation (default 16). Until some replica
 	// qualifies no hedge fires — a cold fleet has no "slow" yet.
@@ -60,40 +75,9 @@ type EjectConfig struct {
 	// ejected replicas on. Manual EjectReplica/ReadmitReplica work
 	// regardless.
 	Enabled bool
-	// Multiple ejects a replica whose EWMA latency score exceeds Multiple
-	// times the fleet median (default 4).
-	Multiple float64
-	// ReadmitMultiple re-admits an ejected replica once probes pull its
-	// score to at most ReadmitMultiple times the median (default 1.5; must
-	// be below Multiple or the replica flaps).
-	ReadmitMultiple float64
 	// MinSamples is the score sample floor before a replica can be ejected
 	// or counted in the median (default 16).
 	MinSamples int64
-}
-
-func (c *HedgeConfig) setDefaults() {
-	if c.P99Multiple <= 0 {
-		c.P99Multiple = 3
-	}
-	if c.MinDelay <= 0 {
-		c.MinDelay = time.Millisecond
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 16
-	}
-}
-
-func (c *EjectConfig) setDefaults() {
-	if c.Multiple <= 0 {
-		c.Multiple = 4
-	}
-	if c.ReadmitMultiple <= 0 {
-		c.ReadmitMultiple = 1.5
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 16
-	}
 }
 
 // noteLatency feeds one answered-dispatch (or censored hedge-loser)
@@ -166,12 +150,12 @@ func (f *Fleet) evalEjection(i int, n int64) {
 	r := f.reps[i]
 	score := float64(r.ewmaNS.Load())
 	if r.ejected.Load() {
-		if score <= f.cfg.Eject.ReadmitMultiple*float64(med) {
+		if score <= readmitMultiple*float64(med) {
 			f.readmitReplica(i)
 		}
 		return
 	}
-	if score >= f.cfg.Eject.Multiple*float64(med) && f.routableBesides(i) > 0 {
+	if score >= ejectMultiple*float64(med) && f.routableBesides(i) > 0 {
 		f.markEjected(i)
 	}
 }
@@ -224,10 +208,10 @@ func (f *Fleet) ReadmitReplica(i int) error {
 }
 
 // hedgeDelay resolves the current hedge delay: the fixed configured delay,
-// or P99Multiple × the median per-replica dispatch p99 (replicas with at
-// least MinSamples answered dispatches), floored by MinDelay and cached for
-// 100ms so the percentile scan is off the per-dispatch path. Zero means
-// "no data yet — do not hedge".
+// or hedgeP99Multiple × the median per-replica dispatch p99 (replicas with
+// at least MinSamples answered dispatches), floored by hedgeMinDelay and
+// cached for 100ms so the percentile scan is off the per-dispatch path.
+// Zero means "no data yet — do not hedge".
 func (f *Fleet) hedgeDelay() time.Duration {
 	if f.cfg.Hedge.Delay > 0 {
 		return f.cfg.Hedge.Delay
@@ -259,10 +243,7 @@ func (f *Fleet) recomputeHedgeDelay(now int64) time.Duration {
 	var d time.Duration
 	if len(p99s) > 0 {
 		sort.Slice(p99s, func(a, b int) bool { return p99s[a] < p99s[b] })
-		d = time.Duration(f.cfg.Hedge.P99Multiple * float64(p99s[len(p99s)/2]))
-		if d < f.cfg.Hedge.MinDelay {
-			d = f.cfg.Hedge.MinDelay
-		}
+		d = max(time.Duration(hedgeP99Multiple*p99s[len(p99s)/2]), hedgeMinDelay)
 	}
 	f.hedgeDelayNS.Store(int64(d))
 	f.hedgeDelayAt.Store(now)

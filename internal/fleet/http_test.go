@@ -124,8 +124,76 @@ func TestFleetHTTPSurface(t *testing.T) {
 	if doc.Serve.Served == 0 {
 		t.Fatal("/metrics aggregate lost the crashed replicas' serving history")
 	}
-	if lat := doc.Serve.Latency; lat.Count < 3 || lat.P99 <= 0 {
-		t.Fatalf("/metrics serving latency summary not populated: %+v", lat)
+	if lat := doc.Fleet.Latency; lat.Count < 3 || lat.P99 <= 0 {
+		t.Fatalf("/metrics dispatch latency summary not populated: %+v", lat)
+	}
+}
+
+// TestMetricsSplitRoundsByKind pins the per-kind rows of the /metrics
+// document: the aggregate's kinds and every replica row's kinds add up to
+// their served, rounds and sim-steps counters, and a crashed incarnation's
+// rows stay in both.
+func TestMetricsSplitRoundsByKind(t *testing.T) {
+	f := newTestFleet(t, Config{Replicas: 2, Instance: serve.Config{
+		Side: 8, Linger: 100 * time.Microsecond, Kinds: []serve.Kind{serve.KindPointLoc},
+	}})
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+	lookups := func() {
+		t.Helper()
+		for _, k := range f.Kinds() {
+			for i := int64(0); i < 5; i++ {
+				if _, err := f.LookupKind(context.Background(), k, f.Structures().Get(k).ArgsFor(i)); err != nil {
+					t.Fatalf("%s lookup %d: %v", k, i, err)
+				}
+			}
+		}
+	}
+	lookups()
+	if err := f.CrashReplica(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.RestartReplica(0); err != nil {
+		t.Fatal(err)
+	}
+	lookups()
+
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Serve serve.Stats `json:"serve"`
+		Fleet Stats       `json:"fleet"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&doc)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("bad /metrics body: %v", err)
+	}
+	check := func(name string, st serve.Stats) {
+		t.Helper()
+		if len(st.Kinds) != len(f.Kinds()) {
+			t.Fatalf("%s lists kinds %+v, want one row per served kind %v", name, st.Kinds, f.Kinds())
+		}
+		var served, rounds, steps int64
+		for i, k := range st.Kinds {
+			if k.Kind != f.Kinds()[i].String() {
+				t.Fatalf("%s kind row %d is %q, want %s", name, i, k.Kind, f.Kinds()[i])
+			}
+			served, rounds, steps = served+k.Served, rounds+k.Rounds, steps+k.SimSteps
+		}
+		if served != st.Served || rounds != st.Rounds || steps != st.SimSteps {
+			t.Fatalf("%s kinds sum to served %d, rounds %d, steps %d; counters read %d, %d, %d",
+				name, served, rounds, steps, st.Served, st.Rounds, st.SimSteps)
+		}
+	}
+	check("serve", doc.Serve)
+	if doc.Serve.Served != 20 || doc.Serve.Rounds == 0 {
+		t.Fatalf("aggregate served %d in %d rounds, want 20 in at least one", doc.Serve.Served, doc.Serve.Rounds)
+	}
+	for _, row := range doc.Fleet.PerReplica {
+		check(fmt.Sprintf("replica %d", row.Index), row.Serve)
 	}
 }
 
@@ -511,7 +579,6 @@ func TestFleetHealthzRecoveryCycle(t *testing.T) {
 		Instance: serve.Config{
 			Side: 8, Audit: true, Injector: g,
 			MaxRetries: -1, BreakerWindow: 4,
-			RetryBackoff: 10 * time.Microsecond,
 		},
 		ProbeInterval: 2 * time.Millisecond,
 	})

@@ -26,7 +26,7 @@ func TestFailoverTraceCarriesHopAndRun(t *testing.T) {
 		Obs:      o,
 		Instance: serve.Config{
 			Side: 8, Audit: true, MaxRetries: -1,
-			Linger: 100 * time.Microsecond, RetryBackoff: 10 * time.Microsecond,
+			Linger: 100 * time.Microsecond,
 		},
 		MakeInjector: func(i int) mesh.Injector {
 			if i == 0 {
@@ -124,8 +124,7 @@ func TestStagePartitionUnderChaos(t *testing.T) {
 		Obs:      o,
 		Instance: serve.Config{
 			Side: 8, Audit: true, Injector: g, Tracer: trace.New(),
-			MaxRetries: 2, RetryBackoff: 10 * time.Microsecond,
-			Linger: 100 * time.Microsecond,
+			MaxRetries: 2, Linger: 100 * time.Microsecond,
 		},
 		ProbeInterval: time.Hour, // only the test closes the circuit
 	})
@@ -219,7 +218,7 @@ func TestFleetLatencySplitByRung(t *testing.T) {
 		Replicas: 1,
 		Instance: serve.Config{
 			Side: 8, Audit: true, Injector: g,
-			MaxRetries: -1, RetryBackoff: 10 * time.Microsecond,
+			MaxRetries: -1,
 		},
 		ProbeInterval: time.Hour,
 	})
@@ -292,7 +291,6 @@ func TestRetryAfterHintNoHealthyReplicas(t *testing.T) {
 		Replicas: 2,
 		Instance: serve.Config{
 			Side: 8, Linger: linger, Audit: true, MaxRetries: -1,
-			RetryBackoff: 10 * time.Microsecond,
 		},
 		ProbeInterval: probeEvery,
 		MakeInjector: func(i int) mesh.Injector {

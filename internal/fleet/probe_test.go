@@ -39,7 +39,7 @@ func TestFaultWakesProberWithoutTick(t *testing.T) {
 	f := newTestFleet(t, Config{
 		Instance: serve.Config{
 			Side: 8, Audit: true, Injector: g,
-			MaxRetries: -1, RetryBackoff: 10 * time.Microsecond,
+			MaxRetries: -1,
 		},
 		ProbeInterval: time.Hour,
 	})
@@ -77,7 +77,7 @@ func TestFastFailingProbesDoNotReadmit(t *testing.T) {
 		Replicas: 3,
 		Instance: serve.Config{
 			Side: 8, Audit: true, MaxRetries: -1,
-			Linger: 100 * time.Microsecond, RetryBackoff: 10 * time.Microsecond,
+			Linger: 100 * time.Microsecond,
 		},
 		MakeInjector: func(i int) mesh.Injector {
 			if i == 1 {
@@ -120,7 +120,7 @@ func TestFastFailingProbesDoNotReadmit(t *testing.T) {
 // healthModel is the reference model for TestHealthMachineMatchesModel:
 // three replicas; a breaker that any faulted round opens (MaxRetries -1)
 // and only a passing canary closes; a wake that canaries each opening once;
-// and the ejection rule (EWMA α = 1/4, Multiple 4, ReadmitMultiple 1.5,
+// and the ejection rule (EWMA α = 1/4, ejectMultiple 4, readmitMultiple 1.5,
 // MinSamples 1). A latency probe counts as a 0 ns sample.
 type healthModel struct {
 	up, open, armed, ejected, canaried [3]bool
@@ -202,7 +202,7 @@ func TestHealthMachineMatchesModel(t *testing.T) {
 		f := newTestFleet(t, Config{
 			Replicas: 3,
 			Instance: serve.Config{
-				Side: 8, Audit: true, MaxRetries: -1, RetryBackoff: 10 * time.Microsecond,
+				Side: 8, Audit: true, MaxRetries: -1,
 			},
 			MakeInjector:  func(i int) mesh.Injector { return &gates[i] },
 			Eject:         EjectConfig{Enabled: true, MinSamples: 1},

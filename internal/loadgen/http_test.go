@@ -49,7 +49,7 @@ func TestHTTPTargetDrivesRemoteServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := Generate(arr, draw, 0)
+	events, err := GenerateMix(arr, draw, nil, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

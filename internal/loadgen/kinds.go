@@ -133,10 +133,14 @@ func StructureChecker(ss *serve.StructureSet) func(serve.Kind, serve.Args, serve
 	}
 }
 
-// GenerateMix materializes a mixed-kind arrival plan: each arrival draws a
-// kind from the mix and a needle from the popularity draw, and argsFor maps
-// the pair to typed arguments (nil argsFor is allowed for membership-only
-// mixes). seed drives the kind draw so the plan is reproducible.
+// GenerateMix materializes an arrival plan: each arrival draws a kind from
+// the mix (nil is membership only) and a needle from the popularity draw,
+// and argsFor maps the pair to typed arguments (nil argsFor is allowed for
+// membership-only mixes). seed drives the kind draw so the plan is
+// reproducible. The plan is the unit of record/replay — a run is a pure
+// function of its event slice, so replaying the slice reproduces the answer
+// stream. max bounds the plan size (0 defaults to 2,000,000): a rate
+// schedule is user input, and a typo must not exhaust memory.
 func GenerateMix(a *Arrivals, k KeyDraw, mix *KindMix, argsFor func(serve.Kind, int64) serve.Args, seed int64, max int) ([]TraceEvent, error) {
 	if mix == nil {
 		mix = SingleKind(serve.KindMembership)

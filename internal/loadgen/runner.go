@@ -13,34 +13,6 @@ import (
 	"repro/internal/serve"
 )
 
-// Generate materializes a membership-only arrival plan: every arrival the
-// process emits, paired with a needle from the popularity draw. The result
-// is the unit of record/replay — a run is a pure function of its event
-// slice, so replaying the slice reproduces the answer stream. max bounds the
-// plan size (a rate schedule is user input; a typo must not OOM the
-// harness). Mixed-kind plans come from GenerateMix.
-func Generate(a *Arrivals, k KeyDraw, max int) ([]TraceEvent, error) {
-	if max <= 0 {
-		max = 2_000_000
-	}
-	var events []TraceEvent
-	for {
-		at, ok := a.Next()
-		if !ok {
-			break
-		}
-		if len(events) >= max {
-			return nil, fmt.Errorf("loadgen: schedule generates more than %d arrivals; lower the rate or raise the cap", max)
-		}
-		needle := k.Draw()
-		events = append(events, TraceEvent{I: len(events), AtNS: int64(at), Needle: needle, Args: serve.Args{needle}})
-	}
-	if len(events) == 0 {
-		return nil, fmt.Errorf("loadgen: schedule produced no arrivals")
-	}
-	return events, nil
-}
-
 // Config drives one open-loop run.
 type Config struct {
 	// LookupKind is the target: one typed query against whatever is being
@@ -50,7 +22,7 @@ type Config struct {
 	// Stats samples the target's serving counters at window boundaries for
 	// the per-window sim-steps gauge. Optional (nil reports sim-steps as 0).
 	Stats func() serve.Stats
-	// Events is the materialized arrival plan (Generate or a replayed
+	// Events is the materialized arrival plan (GenerateMix or a replayed
 	// trace). Run fills each event's answer fields in place.
 	Events []TraceEvent
 	// Window is the reporting bucket width (default 1s).
@@ -58,10 +30,6 @@ type Config struct {
 	// Deadline bounds each lookup (default 5s; ≤0 keeps the default —
 	// an open-loop run must never block forever on one query).
 	Deadline time.Duration
-	// MaxInFlight caps concurrent outstanding lookups (default 4096). When
-	// the cap is hit the arrival is shed client-side and counted — blocking
-	// would silently turn the generator closed-loop.
-	MaxInFlight int
 	// Stages samples the target observer's per-stage wall-clock counters at
 	// window boundaries (obs.Observer.Stages), so each reporting window
 	// decomposes its latency by lifecycle stage — queue wait vs linger vs
@@ -72,6 +40,11 @@ type Config struct {
 	// Nil disables checks.
 	Check func(kind serve.Kind, args serve.Args, res serve.Result) bool
 }
+
+// maxInFlight caps a run's concurrent outstanding lookups. When the cap is
+// hit the arrival is shed client-side and counted — blocking would silently
+// turn the generator closed-loop.
+const maxInFlight = 4096
 
 // Outcome classifies one arrival's fate.
 type outcome struct {
@@ -85,7 +58,7 @@ const (
 	outcomeOK       = iota // answered by a mesh round
 	outcomeDegraded        // answered by the host oracle (still correct)
 	outcomeRejected        // ErrOverloaded from admission
-	outcomeShed            // shed client-side at MaxInFlight or server-side on budget
+	outcomeShed            // shed client-side at maxInFlight or server-side on budget
 	outcomeFailed          // any other error (round fault, deadline)
 )
 
@@ -181,10 +154,6 @@ func Run(cfg Config) (*Report, error) {
 	if deadline <= 0 {
 		deadline = 5 * time.Second
 	}
-	maxInFlight := cfg.MaxInFlight
-	if maxInFlight <= 0 {
-		maxInFlight = 4096
-	}
 
 	stats := cfg.Stats
 	if stats == nil {
@@ -259,7 +228,7 @@ func Run(cfg Config) (*Report, error) {
 				o.status = outcomeRejected
 			case errors.Is(err, serve.ErrBudgetExhausted):
 				// Server-side budget shed: the same outcome class as a
-				// client-side MaxInFlight shed — deliberately dropped load,
+				// client-side maxInFlight shed — deliberately dropped load,
 				// not a failure (§3.11).
 				o.status = outcomeShed
 			case err != nil:

@@ -36,7 +36,7 @@ func TestRunRecordReplayIdenticalAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := Generate(arr, keys, 0)
+	events, err := GenerateMix(arr, keys, nil, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRunWindowAccounting(t *testing.T) {
 	sched := Schedule{{Rate: 300, Dur: 900 * time.Millisecond}}
 	arr, _ := Poisson(sched, 7)
 	keys, _ := UniformKeys(16, 7)
-	events, err := Generate(arr, keys, 0)
+	events, err := GenerateMix(arr, keys, nil, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestGenerateBounds(t *testing.T) {
 	sched := Schedule{{Rate: 100_000, Dur: time.Second}}
 	arr, _ := Poisson(sched, 1)
 	keys, _ := UniformKeys(16, 1)
-	if _, err := Generate(arr, keys, 1000); err == nil {
+	if _, err := GenerateMix(arr, keys, nil, nil, 0, 1000); err == nil {
 		t.Fatal("oversized plan accepted")
 	}
 	if err := (Config{}).check(); err == nil {

@@ -17,10 +17,6 @@ type SLO struct {
 	P99         time.Duration `json:"p99_ns"`
 	MaxDegraded float64       `json:"max_degraded_frac"`
 	MaxRejected float64       `json:"max_rejected_frac"`
-	// PerKind overrides the clause set for the named kind's aggregate
-	// (e.g. a looser p99 for point location); kinds without an entry are
-	// held to the top-level clauses.
-	PerKind map[string]SLO `json:"per_kind,omitempty"`
 }
 
 // Pass evaluates the SLO against a run's aggregate — and, per kind, against
@@ -30,14 +26,9 @@ func (slo SLO) Pass(r *Report) (bool, string) {
 	if ok, reason := slo.passWindow("", r.Total); !ok {
 		return false, reason
 	}
-	if len(r.Kinds) > 1 || len(slo.PerKind) > 0 {
+	if len(r.Kinds) > 1 {
 		for _, kname := range sortedKindNames(r.Kinds) {
-			ks := slo
-			if over, ok := slo.PerKind[kname]; ok {
-				over.PerKind = nil
-				ks = over
-			}
-			if ok, reason := ks.passWindow(kname, *r.Kinds[kname]); !ok {
+			if ok, reason := slo.passWindow(kname, *r.Kinds[kname]); !ok {
 				return false, reason
 			}
 		}

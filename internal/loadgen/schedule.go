@@ -12,7 +12,7 @@
 //     Schedule (exact piecewise-constant thinning-free inversion).
 //   - KeyDraw: uniform or Zipfian(s) hot-key popularity over the resident
 //     dictionary's needle domain.
-//   - Generate → []TraceEvent: a materialized, replayable arrival plan;
+//   - GenerateMix → []TraceEvent: a materialized, replayable arrival plan;
 //     WriteTrace/ReadTrace round-trip it (with answers) through JSONL.
 //   - Run: drives a target (an in-process fleet, or HTTPTarget for a remote
 //     server) through Config.LookupKind, reporting per-window percentiles

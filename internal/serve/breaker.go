@@ -6,15 +6,18 @@ package serve
 // Owned exclusively by the executor goroutine; no locking (the open flag
 // the rest of the server reads is mirrored into Instance.circuitOpen).
 type breaker struct {
-	window    []bool
-	idx       int
-	filled    int
-	fails     int
-	threshold float64
+	window []bool
+	idx    int
+	filled int
+	fails  int
 }
 
-func newBreaker(size int, threshold float64) *breaker {
-	return &breaker{window: make([]bool, size), threshold: threshold}
+// breakerThreshold is the windowed first-attempt failure rate at or above
+// which the circuit opens.
+const breakerThreshold = 0.5
+
+func newBreaker(size int) *breaker {
+	return &breaker{window: make([]bool, size)}
 }
 
 // record pushes one round outcome and reports whether the windowed failure
@@ -35,7 +38,7 @@ func (b *breaker) record(fail bool) (open bool) {
 	}
 	b.idx = (b.idx + 1) % len(b.window)
 	return b.filled == len(b.window) &&
-		float64(b.fails) >= b.threshold*float64(len(b.window))
+		float64(b.fails) >= breakerThreshold*float64(len(b.window))
 }
 
 // reset clears the window — called on every circuit transition so the next

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/mesh"
 )
@@ -36,7 +35,7 @@ func TestDisableOracleSurfacesTypedFaults(t *testing.T) {
 		g := &gateInjector{}
 		s := newTestServer(t, Config{
 			Side: 8, Audit: true, Injector: g,
-			MaxRetries: -1, RetryBackoff: 10 * time.Microsecond,
+			MaxRetries: -1,
 		})
 		if res, err := s.Lookup(context.Background(), 3); err != nil || res.Degraded {
 			t.Fatalf("healthy lookup: res=%+v err=%v", res, err)

@@ -184,6 +184,18 @@ func (ss *StructureSet) Membership() *dict.BTree {
 	return ss.byKind[KindMembership].(*membershipStructure).bt
 }
 
+// DefaultKeys is the dictionary key set every instance serves: the first k
+// odd integers 1, 3, …, 2k−1, so even needles miss and odd needles below the
+// range hit. New serves DefaultKeys(n/4); a client can rebuild the same
+// structures from the side and key count a server reports.
+func DefaultKeys(k int) []int64 {
+	keys := make([]int64, k)
+	for i := range keys {
+		keys[i] = int64(2*i + 1)
+	}
+	return keys
+}
+
 // BuildStructures builds the resident structures for the requested kinds,
 // deterministically from (side, keys): the same inputs always produce the
 // same structures, so a remote load generator can rebuild the set host-side

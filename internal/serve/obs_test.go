@@ -100,15 +100,14 @@ func TestStagePartitionUnderConcurrentLoad(t *testing.T) {
 
 // TestLatencySplitByOutcome pins the instance's outcome-split serving
 // histograms: a lookup that fails — on the broken mesh, then fast on the
-// open circuit — lands in the combined histogram but not in the mesh one,
-// and the Stats summaries expose the split. (The fleet's oracle answers
-// have their own histogram: see fleet's TestFleetLatencySplitByRung.)
+// open circuit — lands in the combined histogram but not in the mesh one.
+// (The fleet's oracle answers have their own histogram: see fleet's
+// TestFleetLatencySplitByRung.)
 func TestLatencySplitByOutcome(t *testing.T) {
 	g := &gateInjector{}
 	s := newTestServer(t, Config{
 		Side: 8, Audit: true, Injector: g,
-		MaxRetries: -1, RetryBackoff: 10 * time.Microsecond,
-		BreakerWindow: 1 << 20,
+		MaxRetries: -1, BreakerWindow: 1 << 20,
 	})
 	for i := 0; i < 5; i++ {
 		if _, err := s.Lookup(context.Background(), int64(2*i+1)); err != nil {
@@ -126,10 +125,6 @@ func TestLatencySplitByOutcome(t *testing.T) {
 	}
 	if all := s.LatencySnapshot(); all.Count != 8 {
 		t.Fatalf("combined count %d, want 8 (split must not replace it)", all.Count)
-	}
-	st := s.Stats()
-	if st.LatencyMesh.Count != 5 || st.Latency.Count != 8 {
-		t.Fatalf("stats split: mesh %+v / all %+v", st.LatencyMesh, st.Latency)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 
 // This file is the recovery ladder around the round executor (DESIGN.md
 // §3.6). Everything here runs on the executor goroutine — the only
-// goroutine that touches the mesh — so audit toggling, per-kind budget
-// switching, breaker bookkeeping and canary rounds need no locks; the rest
+// goroutine that touches the mesh — so audit toggling, breaker
+// bookkeeping and canary rounds need no locks; the rest
 // of the server observes the outcome through the atomic counters and the
 // circuitOpen flag.
 
@@ -178,20 +178,17 @@ func (n roundName) String() string {
 	return fmt.Sprintf("serve %s round %d attempt %d", n.kind, n.round, n.attempt)
 }
 
-// meshRound executes one mesh attempt of one kind: install the kind's step
-// budget, reset the step clock (per-attempt budget, fresh traced run —
-// tagged when the attempt is a retry or canary), load the queries against
-// the kind's resident structure, and run its multisearch inside the
-// core.Run containment boundary. The results are the kind's reused slice,
+// meshRound executes one mesh attempt of one kind: reset the step clock
+// (per-attempt budget, fresh traced run — tagged when the attempt is a
+// retry or canary), load the queries against the kind's resident
+// structure, and run its multisearch inside the core.Run containment
+// boundary. The results are the kind's reused slice,
 // valid until its next round. The returned trace.Handle names this
 // attempt's step-clock run (inert when no tracer is installed): tagging goes
 // through it — keyed to the run, not "most recently attached", which was a
 // cross-goroutine race when concurrent instances shared one Tracer — and the
 // observability layer embeds its Seq/Label in the request traces it links.
 func (s *Instance) meshRound(kr *kindRuntime, name roundName, tag string, queries []core.Query) ([]core.Query, trace.Handle, error) {
-	if s.m.Budget() != kr.budget {
-		s.m.SetBudget(kr.budget) // per-kind budget, quiescent between rounds
-	}
 	s.m.ResetSteps()
 	h, _ := trace.HandleFor(s.m.TraceRun())
 	if tag != "" {

@@ -89,7 +89,7 @@ func TestTypedFaultsCrossRetryBoundary(t *testing.T) {
 		g.broken.Store(true) // every sort lies, every attempt trips the audit
 		s := newTestServer(t, Config{
 			Side: 8, Audit: true, Injector: g,
-			MaxRetries: 1, RetryBackoff: 10 * time.Microsecond,
+			MaxRetries: 1,
 		})
 		_, err := s.Lookup(context.Background(), 1)
 		var ae *mesh.AuditError
@@ -150,8 +150,7 @@ func TestChaosSortFaultRetriedAndRecovered(t *testing.T) {
 	inj := faults.New(faults.Config{Seed: 42, PSortLie: 0.2, Limit: 5})
 	s := newTestServer(t, Config{
 		Side: 8, Audit: true, Injector: inj,
-		MaxRetries: 6, RetryBackoff: 20 * time.Microsecond,
-		Linger: 200 * time.Microsecond,
+		MaxRetries: 6, Linger: 200 * time.Microsecond,
 	})
 	const clients, perClient = 8, 15
 	var wg sync.WaitGroup
@@ -219,7 +218,6 @@ func TestCircuitBreakerOpensAndCanaryCloses(t *testing.T) {
 	s := newTestServer(t, Config{
 		Side: 8, Audit: true, Injector: g,
 		MaxRetries: -1, BreakerWindow: 4,
-		RetryBackoff: 10 * time.Microsecond,
 	})
 	ctx := context.Background()
 

@@ -301,16 +301,15 @@ func TestExpiredDrainCancelsInFlight(t *testing.T) {
 	t.Logf("%d of %d lookups cancelled, rest served before the abort", canceled, n)
 }
 
-// TestConfigValidation pins the constructor's error paths.
+// TestConfigValidation pins the constructor's error paths: New rejects a
+// side that is not a power of two, and BuildStructures, which New calls, a
+// dictionary too large for the mesh.
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Side: 3}); err == nil {
 		t.Fatal("non-power-of-two side accepted")
 	}
-	keys := make([]int64, 200) // a (2,3)-tree over 200 keys cannot fit 64 cells
-	for i := range keys {
-		keys[i] = int64(i)
-	}
-	if _, err := New(Config{Side: 8, Keys: keys}); err == nil {
+	// A (2,3)-tree over 200 keys cannot fit 64 cells.
+	if _, err := BuildStructures(8, DefaultKeys(200), 2, 3, nil); err == nil {
 		t.Fatal("oversized dictionary accepted")
 	}
 }
