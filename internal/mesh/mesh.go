@@ -192,22 +192,6 @@ func (m *Mesh) SetAudit(on bool) { m.audit = on }
 // Audit reports whether audit mode is currently enabled.
 func (m *Mesh) Audit() bool { return m.audit }
 
-// SetBudget replaces the step budget (see WithBudget) on a quiescent mesh,
-// under the same caller contract as SetAudit. It exists so a serving layer
-// multiplexing several resident structures can give each query family its
-// own per-round budget — the budget clock still resets with ResetSteps, so
-// the new value governs whole rounds, never a round in flight. steps ≤ 0
-// means unlimited.
-func (m *Mesh) SetBudget(steps int64) {
-	if steps < 0 {
-		steps = 0
-	}
-	m.budget = steps
-}
-
-// Budget reports the current step budget (0 = unlimited).
-func (m *Mesh) Budget() int64 { return m.budget }
-
 // SetInjector installs (or, with nil, removes) the fault injector on a
 // quiescent mesh, under the same caller contract as SetAudit. It exists so a
 // serving layer can build its resident data structure fault-free — a fault

@@ -207,9 +207,6 @@ type Config struct {
 	// SLOP99 is the latency SLO the burn-rate gauge measures against:
 	// at most 1% of answered requests may exceed it (default 50ms).
 	SLOP99 time.Duration
-	// SLOMaxDegraded is the degraded-fraction SLO: at most this fraction of
-	// answered requests may be oracle answers (default 0.01).
-	SLOMaxDegraded float64
 	// Logger, when set, receives structured events: one per stage boundary
 	// at Debug, one per interesting (failovered/oracle-answered/errored)
 	// trace completion at Info. Nil disables logging entirely.
@@ -250,9 +247,6 @@ func New(cfg Config) *Observer {
 	if cfg.SLOP99 <= 0 {
 		cfg.SLOP99 = 50 * time.Millisecond
 	}
-	if cfg.SLOMaxDegraded <= 0 || cfg.SLOMaxDegraded > 1 {
-		cfg.SLOMaxDegraded = 0.01
-	}
 	classes := len(cfg.Classes)
 	if classes == 0 {
 		classes = 1
@@ -271,9 +265,14 @@ func (o *Observer) Classes() []string {
 	return o.cfg.Classes
 }
 
-// SLO reports the configured latency/degraded-fraction SLO targets.
+// SLOMaxDegraded is the degraded-fraction SLO: at most this fraction of
+// answered requests may be oracle answers. The degraded burn gauge measures
+// against it, and the saturation search enforces it.
+const SLOMaxDegraded = 0.01
+
+// SLO reports the latency/degraded-fraction SLO targets.
 func (o *Observer) SLO() (p99 time.Duration, maxDegraded float64) {
-	return o.cfg.SLOP99, o.cfg.SLOMaxDegraded
+	return o.cfg.SLOP99, SLOMaxDegraded
 }
 
 // Begin mints the trace for one request. start is the caller's own

@@ -7,16 +7,20 @@ import (
 	"time"
 )
 
+// The backoff envelope: the first retry sleeps at most backoffBase (one
+// mesh round on the small meshes is in that range), and no retry sleeps
+// more than backoffCap.
+const (
+	backoffBase = 200 * time.Microsecond
+	backoffCap  = 50 * time.Millisecond
+)
+
 // Backoff is a jittered exponential backoff policy: the recovery ladder
 // sleeps it between round re-executions. Full jitter: attempt k (0-based)
-// sleeps a uniform duration in (0, min(Cap, Base·2^k)], so concurrent
-// retries decorrelate instead of re-colliding on a fixed boundary.
-//
-// The zero value is usable: Base defaults to 200µs (one mesh round on the
-// small meshes is in that range) and Cap to 50ms.
+// sleeps a uniform duration in (0, min(backoffCap, backoffBase·2^k)], so
+// concurrent retries decorrelate instead of re-colliding on a fixed
+// boundary. The zero value is usable.
 type Backoff struct {
-	Base time.Duration // ceiling of the first sleep (default 200µs)
-	Cap  time.Duration // ceiling of any sleep (default 50ms)
 	// Jitter draws the uniform variate in [0, n). Nil uses the process
 	// global math/rand source — concurrency-safe but unseedable, so two
 	// chaos runs with identical fault seeds still sleep differently.
@@ -40,22 +44,12 @@ func SeededJitter(seed int64) func(int64) int64 {
 // Delay returns the jittered sleep duration before retry attempt k
 // (0-based). Always positive, so callers can use it as a timer interval.
 func (b Backoff) Delay(attempt int) time.Duration {
-	base, max := b.Base, b.Cap
-	if base <= 0 {
-		base = 200 * time.Microsecond
-	}
-	if max <= 0 {
-		max = 50 * time.Millisecond
-	}
-	if base > max {
-		base = max
-	}
-	ceil := base
-	for i := 0; i < attempt && ceil < max; i++ {
+	ceil := backoffBase
+	for i := 0; i < attempt && ceil < backoffCap; i++ {
 		ceil *= 2
 	}
-	if ceil > max {
-		ceil = max
+	if ceil > backoffCap {
+		ceil = backoffCap
 	}
 	jitter := b.Jitter
 	if jitter == nil {
